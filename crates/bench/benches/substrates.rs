@@ -80,6 +80,38 @@ fn bench_substrates(c: &mut Criterion) {
     });
     group.finish();
 
+    // LSM scans over rows keyed like the columnar engine's (8-byte vertex
+    // id, then a column qualifier). `one-run` is the shape of a bulk-loaded
+    // store; `run+memtable` adds a memtable of overwrites, so the scan
+    // merges two sources.
+    let mut rows = LsmTable::new(LsmConfig::default());
+    for vid in 0..N {
+        for column in 0..4u8 {
+            let mut key = vid.to_be_bytes().to_vec();
+            key.push(column);
+            rows.put(&key, &vid.to_le_bytes());
+        }
+    }
+    rows.flush();
+    let mut overwritten = rows.clone();
+    for vid in (0..N).step_by(97) {
+        let mut key = vid.to_be_bytes().to_vec();
+        key.push(1);
+        overwritten.put(&key, b"overwrite");
+    }
+    let mut group = c.benchmark_group("substrate/lsm-scan");
+    group.bench_function("full-scan/one-run", |b| {
+        b.iter(|| std::hint::black_box(&rows).scan().count());
+    });
+    group.bench_function("full-scan/run+memtable", |b| {
+        b.iter(|| std::hint::black_box(&overwritten).scan().count());
+    });
+    group.bench_function("scan-prefix", |b| {
+        let row = (N / 2).to_be_bytes();
+        b.iter(|| rows.scan_prefix(std::hint::black_box(&row)).count());
+    });
+    group.finish();
+
     // Delta encoding: the columnar engine's space trick, decode cost vs a
     // plain fixed-width copy.
     let ids: Vec<u64> = (0..10_000u64).map(|i| 1_000_000 + i * 3).collect();

@@ -28,11 +28,12 @@ const SEQUENCE: &[&str] = &[
     "fig7_overall",
     "table4",
     // Beyond the paper: the multi-client concurrency sweep (gm-workload),
-    // the network-attached comparison (gm-net), and the sharded-locks
-    // comparison (gm-shard).
+    // the network-attached comparison (gm-net), the sharded-locks
+    // comparison (gm-shard), and the write-transaction sweep (gm-mvcc).
     "fig8_concurrency",
     "fig9_network",
     "fig10_sharding",
+    "fig11_transactions",
 ];
 
 fn main() {

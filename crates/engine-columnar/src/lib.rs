@@ -23,6 +23,29 @@
 //! * two variants mirror the tested versions: [`Variant::V05`] (smaller
 //!   memtable, more runs, uncached existence checks) and [`Variant::V10`]
 //!   (production tuning: bigger memtable, fewer runs, cached row index).
+//!
+//! ## What a read costs
+//!
+//! The store's immutable runs use an SSTable layout (key and value arenas
+//! with offset arrays and a sparse index summary; see [`gm_storage::lsm`]),
+//! and its reads borrow from them. The engine keeps the costs that belong
+//! to Titan's design:
+//!
+//! * every hop is a row-key lookup: a point get of one adjacency cell, or a
+//!   prefix scan of the row's cells for one direction, each consulting the
+//!   memtable and then every run newest-first;
+//! * counts and label or property searches scan the whole store and call
+//!   [`QueryCtx::tick`] once per store entry and once per adjacency entry;
+//!   there are no cached counts and no side adjacency index;
+//! * deletions stay tombstones, compaction stays tiered, and
+//!   [`GraphSnapshot::space`] reports the runs' prefix-compressed footprint.
+//!
+//! What it no longer pays are allocations: row keys are fixed-width arrays
+//! built on the stack, cells are read in place, and adjacency cells are
+//! walked lazily, stepping over the edge-property lists without decoding
+//! them. Properties are decoded only where they are returned (`edge`,
+//! `edge_property`, the property searches' matching values) and in the
+//! read-modify-write paths.
 
 use gm_model::api::{
     Direction, EdgeData, EdgeRef, EngineFeatures, GraphDb, GraphSnapshot, LoadOptions, LoadStats,
@@ -34,9 +57,11 @@ use gm_model::value::{Props, Value};
 use gm_model::{Dataset, Eid, GdbError, GdbResult, QueryCtx, Vid};
 use gm_mvcc::FreezeCell;
 use gm_storage::codec::{read_varint, write_varint};
-use gm_storage::lsm::{LsmConfig, LsmTable, PrefixEnd};
+use gm_storage::lsm::{LsmConfig, LsmTable};
 use gm_storage::segvec::SegVec;
-use gm_storage::valcodec::{decode_props, decode_value, encode_props, encode_value};
+use gm_storage::valcodec::{
+    decode_props, decode_value, encode_props, encode_value, prop_values, skip_props,
+};
 
 /// The columnar engine's **native snapshot source**: a freeze-on-pin cell
 /// over [`ColumnarGraph`], whose `Clone` shares the LSM's immutable runs
@@ -181,37 +206,53 @@ impl ColumnarGraph {
     }
 
     // ---- key construction ------------------------------------------------
+    //
+    // Row keys are fixed-width and built on the stack: the 8-byte
+    // big-endian vertex id, the column qualifier, then the qualifier's
+    // fields.
 
-    fn key_label(vid: u64) -> Vec<u8> {
-        let mut k = vid.to_be_bytes().to_vec();
-        k.push(Q_LABEL);
+    fn key_label(vid: u64) -> [u8; 9] {
+        let mut k = [Q_LABEL; 9];
+        k[..8].copy_from_slice(&vid.to_be_bytes());
         k
     }
 
-    fn key_prop(vid: u64, key: u32) -> Vec<u8> {
-        let mut k = vid.to_be_bytes().to_vec();
-        k.push(Q_PROP);
-        k.extend_from_slice(&key.to_be_bytes());
+    fn key_prop_prefix(vid: u64) -> [u8; 9] {
+        let mut k = [Q_PROP; 9];
+        k[..8].copy_from_slice(&vid.to_be_bytes());
         k
     }
 
-    fn key_adj(vid: u64, dir: u8, label: u32) -> Vec<u8> {
-        let mut k = vid.to_be_bytes().to_vec();
-        k.push(Q_ADJ);
-        k.push(dir);
-        k.extend_from_slice(&label.to_be_bytes());
+    fn key_prop(vid: u64, key: u32) -> [u8; 13] {
+        let mut k = [0u8; 13];
+        k[..9].copy_from_slice(&Self::key_prop_prefix(vid));
+        k[9..].copy_from_slice(&key.to_be_bytes());
         k
     }
 
-    fn key_row_prefix(vid: u64) -> Vec<u8> {
-        vid.to_be_bytes().to_vec()
+    fn key_adj_prefix(vid: u64, dir: u8) -> [u8; 10] {
+        let mut k = [Q_ADJ; 10];
+        k[..8].copy_from_slice(&vid.to_be_bytes());
+        k[9] = dir;
+        k
     }
 
-    fn key_adj_prefix(vid: u64, dir: u8) -> Vec<u8> {
-        let mut k = vid.to_be_bytes().to_vec();
-        k.push(Q_ADJ);
-        k.push(dir);
+    fn key_adj(vid: u64, dir: u8, label: u32) -> [u8; 14] {
+        let mut k = [0u8; 14];
+        k[..10].copy_from_slice(&Self::key_adj_prefix(vid, dir));
+        k[10..].copy_from_slice(&label.to_be_bytes());
         k
+    }
+
+    /// The edge label of an adjacency-cell key.
+    fn cell_label(key: &[u8]) -> u32 {
+        u32::from_be_bytes(key[10..14].try_into().expect("label"))
+    }
+
+    /// The edge label of an OUT adjacency-cell key; `None` for any other
+    /// column.
+    fn out_cell_label(key: &[u8]) -> Option<u32> {
+        (key.len() >= 14 && key[8] == Q_ADJ && key[9] == DIR_OUT).then(|| Self::cell_label(key))
     }
 
     // ---- adjacency cell codec ---------------------------------------------
@@ -225,9 +266,8 @@ impl ColumnarGraph {
         let mut out = Vec::with_capacity(8 + entries.len() * 6);
         write_varint(&mut out, entries.len() as u64);
         let mut prev = 0u64;
-        for (i, e) in entries.iter().enumerate() {
-            let gap = if i == 0 { e.other } else { e.other - prev };
-            write_varint(&mut out, gap);
+        for e in entries {
+            write_varint(&mut out, e.other - prev);
             write_varint(&mut out, e.eid);
             encode_props(&mut out, &e.props);
             prev = e.other;
@@ -235,20 +275,15 @@ impl ColumnarGraph {
         out
     }
 
+    /// Full decode, properties included: only the write paths need it.
     fn decode_adj(buf: &[u8]) -> Vec<AdjEntry> {
-        let mut pos = 0usize;
-        let n = read_varint(buf, &mut pos).expect("adj count") as usize;
-        let mut out = Vec::with_capacity(n);
-        let mut prev = 0u64;
-        for i in 0..n {
-            let gap = read_varint(buf, &mut pos).expect("gap");
-            let other = if i == 0 { gap } else { prev + gap };
-            let eid = read_varint(buf, &mut pos).expect("eid");
-            let props = decode_props(buf, &mut pos).expect("props");
-            out.push(AdjEntry { other, eid, props });
-            prev = other;
-        }
-        out
+        AdjCell::new(buf)
+            .map(|e| AdjEntry {
+                other: e.other,
+                eid: e.eid,
+                props: decode_props(e.props, &mut 0).expect("props"),
+            })
+            .collect()
     }
 
     /// Read-modify-write an adjacency cell.
@@ -257,7 +292,7 @@ impl ColumnarGraph {
         let mut entries = self
             .store
             .get(&key)
-            .map(|v| Self::decode_adj(&v))
+            .map(Self::decode_adj)
             .unwrap_or_default();
         f(&mut entries);
         if entries.is_empty() {
@@ -354,43 +389,128 @@ impl ColumnarGraph {
         vid
     }
 
-    /// Collect the live adjacency entries of (vid, dir), optionally
-    /// restricted to one label cell.
-    fn adjacency(
+    /// Visit the live entries of (vid, dir), optionally restricted to one
+    /// label cell. Every hop pays the row-key lookup: a point get for one
+    /// label, a row prefix scan otherwise, with one tick per cell consulted
+    /// and one per entry.
+    fn walk_adjacency(
         &self,
         vid: u64,
         dir: u8,
         label: Option<u32>,
         ctx: &QueryCtx,
-    ) -> GdbResult<Vec<(u32, AdjEntry)>> {
-        let mut out = Vec::new();
+        visit: &mut impl FnMut(u32, AdjRef<'_>),
+    ) -> GdbResult<()> {
         match label {
             Some(l) => {
                 ctx.tick()?;
                 if let Some(cell) = self.store.get(&Self::key_adj(vid, dir, l)) {
-                    for e in Self::decode_adj(&cell) {
-                        ctx.tick()?;
-                        if !self.deleted_edges.contains(&e.eid) {
-                            out.push((l, e));
-                        }
-                    }
+                    self.walk_cell(l, cell, ctx, visit)?;
                 }
             }
             None => {
-                let prefix = Self::key_adj_prefix(vid, dir);
-                for (key, cell) in self.store.scan_prefix(&prefix) {
+                for (key, cell) in self.store.scan_prefix(&Self::key_adj_prefix(vid, dir)) {
                     ctx.tick()?;
-                    let label = u32::from_be_bytes(key[10..14].try_into().expect("label"));
-                    for e in Self::decode_adj(&cell) {
-                        ctx.tick()?;
-                        if !self.deleted_edges.contains(&e.eid) {
-                            out.push((label, e));
-                        }
-                    }
+                    self.walk_cell(Self::cell_label(key), cell, ctx, visit)?;
                 }
             }
         }
-        Ok(out)
+        Ok(())
+    }
+
+    /// Visit the live entries of one adjacency cell, one tick per entry.
+    fn walk_cell(
+        &self,
+        label: u32,
+        cell: &[u8],
+        ctx: &QueryCtx,
+        visit: &mut impl FnMut(u32, AdjRef<'_>),
+    ) -> GdbResult<()> {
+        for e in AdjCell::new(cell) {
+            ctx.tick()?;
+            if !self.deleted_edges.contains(&e.eid) {
+                visit(label, e);
+            }
+        }
+        Ok(())
+    }
+
+    /// Visit `v`'s live edges in `dir` (OUT cells before IN cells),
+    /// optionally restricted to one edge label.
+    fn walk_edges(
+        &self,
+        v: Vid,
+        dir: Direction,
+        label: Option<&str>,
+        ctx: &QueryCtx,
+        mut visit: impl FnMut(u32, AdjRef<'_>),
+    ) -> GdbResult<()> {
+        self.require_vertex(v.0)?;
+        let want = match label {
+            Some(l) => match self.elabels.get(l) {
+                Some(id) => Some(id),
+                None => return Ok(()),
+            },
+            None => None,
+        };
+        if matches!(dir, Direction::Out | Direction::Both) {
+            self.walk_adjacency(v.0, DIR_OUT, want, ctx, &mut visit)?;
+        }
+        if matches!(dir, Direction::In | Direction::Both) {
+            self.walk_adjacency(v.0, DIR_IN, want, ctx, &mut visit)?;
+        }
+        Ok(())
+    }
+}
+
+/// One adjacency-cell entry as [`AdjCell`] yields it: the property list
+/// stays encoded.
+struct AdjRef<'a> {
+    other: u64,
+    eid: u64,
+    props: &'a [u8],
+}
+
+/// A lazy walk over an encoded adjacency cell: decodes the neighbour gaps
+/// and edge ids and steps over each property list without decoding it.
+struct AdjCell<'a> {
+    buf: &'a [u8],
+    pos: usize,
+    left: u64,
+    prev: u64,
+}
+
+impl<'a> AdjCell<'a> {
+    fn new(buf: &'a [u8]) -> Self {
+        let mut pos = 0usize;
+        let left = read_varint(buf, &mut pos).expect("adj count");
+        AdjCell {
+            buf,
+            pos,
+            left,
+            prev: 0,
+        }
+    }
+}
+
+impl<'a> Iterator for AdjCell<'a> {
+    type Item = AdjRef<'a>;
+
+    fn next(&mut self) -> Option<AdjRef<'a>> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let other = self.prev + read_varint(self.buf, &mut self.pos).expect("gap");
+        let eid = read_varint(self.buf, &mut self.pos).expect("eid");
+        let start = self.pos;
+        skip_props(self.buf, &mut self.pos).expect("props");
+        self.prev = other;
+        Some(AdjRef {
+            other,
+            eid,
+            props: &self.buf[start..self.pos],
+        })
     }
 }
 
@@ -425,7 +545,7 @@ impl GraphSnapshot for ColumnarGraph {
     fn vertex_count(&self, ctx: &QueryCtx) -> GdbResult<u64> {
         // g.V iterates rows: a full store scan filtered to label cells.
         let mut n = 0u64;
-        for (key, _) in self.store.scan_range(&[], PrefixEnd::Unbounded) {
+        for (key, _) in self.store.scan() {
             ctx.tick()?;
             if key.len() == 9 && key[8] == Q_LABEL {
                 n += 1;
@@ -436,15 +556,10 @@ impl GraphSnapshot for ColumnarGraph {
 
     fn edge_count(&self, ctx: &QueryCtx) -> GdbResult<u64> {
         let mut n = 0u64;
-        for (key, cell) in self.store.scan_range(&[], PrefixEnd::Unbounded) {
+        for (key, cell) in self.store.scan() {
             ctx.tick()?;
-            if key.len() >= 10 && key[8] == Q_ADJ && key[9] == DIR_OUT {
-                for e in Self::decode_adj(&cell) {
-                    ctx.tick()?;
-                    if !self.deleted_edges.contains(&e.eid) {
-                        n += 1;
-                    }
-                }
+            if let Some(label) = Self::out_cell_label(key) {
+                self.walk_cell(label, cell, ctx, &mut |_, _| n += 1)?;
             }
         }
         Ok(n)
@@ -452,14 +567,11 @@ impl GraphSnapshot for ColumnarGraph {
 
     fn edge_label_set(&self, ctx: &QueryCtx) -> GdbResult<Vec<String>> {
         let mut seen = vec![false; self.elabels.len()];
-        for (key, cell) in self.store.scan_range(&[], PrefixEnd::Unbounded) {
+        for (key, cell) in self.store.scan() {
             ctx.tick()?;
-            if key.len() >= 14 && key[8] == Q_ADJ && key[9] == DIR_OUT {
-                let label = u32::from_be_bytes(key[10..14].try_into().expect("label"));
+            if let Some(label) = Self::out_cell_label(key) {
                 if !seen[label as usize]
-                    && Self::decode_adj(&cell)
-                        .iter()
-                        .any(|e| !self.deleted_edges.contains(&e.eid))
+                    && AdjCell::new(cell).any(|e| !self.deleted_edges.contains(&e.eid))
                 {
                     seen[label as usize] = true;
                 }
@@ -483,13 +595,13 @@ impl GraphSnapshot for ColumnarGraph {
             return Ok(Vec::new());
         };
         let mut out = Vec::new();
-        for (key, cell) in self.store.scan_range(&[], PrefixEnd::Unbounded) {
+        for (key, cell) in self.store.scan() {
             ctx.tick()?;
             if key.len() == 13 && key[8] == Q_PROP {
                 let k = u32::from_be_bytes(key[9..13].try_into().expect("key id"));
                 if k == key_id {
                     let mut pos = 0usize;
-                    if decode_value(&cell, &mut pos).as_ref() == Some(value) {
+                    if decode_value(cell, &mut pos).as_ref() == Some(value) {
                         out.push(Vid(u64::from_be_bytes(key[0..8].try_into().expect("vid"))));
                     }
                 }
@@ -508,18 +620,14 @@ impl GraphSnapshot for ColumnarGraph {
             return Ok(Vec::new());
         };
         let mut out = Vec::new();
-        for (key, cell) in self.store.scan_range(&[], PrefixEnd::Unbounded) {
+        for (key, cell) in self.store.scan() {
             ctx.tick()?;
-            if key.len() >= 10 && key[8] == Q_ADJ && key[9] == DIR_OUT {
-                for e in Self::decode_adj(&cell) {
-                    ctx.tick()?;
-                    if self.deleted_edges.contains(&e.eid) {
-                        continue;
-                    }
-                    if e.props.iter().any(|(k, v)| *k == key_id && v == value) {
+            if let Some(label) = Self::out_cell_label(key) {
+                self.walk_cell(label, cell, ctx, &mut |_, e| {
+                    if prop_values(e.props, key_id).any(|v| v == *value) {
                         out.push(Eid(e.eid));
                     }
-                }
+                })?;
             }
         }
         out.sort_unstable();
@@ -531,18 +639,10 @@ impl GraphSnapshot for ColumnarGraph {
             return Ok(Vec::new());
         };
         let mut out = Vec::new();
-        for (key, cell) in self.store.scan_range(&[], PrefixEnd::Unbounded) {
+        for (key, cell) in self.store.scan() {
             ctx.tick()?;
-            if key.len() >= 14 && key[8] == Q_ADJ && key[9] == DIR_OUT {
-                let l = u32::from_be_bytes(key[10..14].try_into().expect("label"));
-                if l == want {
-                    for e in Self::decode_adj(&cell) {
-                        ctx.tick()?;
-                        if !self.deleted_edges.contains(&e.eid) {
-                            out.push(Eid(e.eid));
-                        }
-                    }
-                }
+            if Self::out_cell_label(key) == Some(want) {
+                self.walk_cell(want, cell, ctx, &mut |_, e| out.push(Eid(e.eid)))?;
             }
         }
         out.sort_unstable();
@@ -558,14 +658,12 @@ impl GraphSnapshot for ColumnarGraph {
             .get(&Self::key_label(v.0))
             .ok_or_else(|| GdbError::Corrupt("row without label cell".into()))?;
         let mut pos = 0usize;
-        let label = read_varint(&label_cell, &mut pos).expect("label id") as u32;
+        let label = read_varint(label_cell, &mut pos).expect("label id") as u32;
         let mut props = Props::new();
-        let mut prop_prefix = Self::key_row_prefix(v.0);
-        prop_prefix.push(Q_PROP);
-        for (key, cell) in self.store.scan_prefix(&prop_prefix) {
+        for (key, cell) in self.store.scan_prefix(&Self::key_prop_prefix(v.0)) {
             let k = u32::from_be_bytes(key[9..13].try_into().expect("key id"));
             let mut pos = 0usize;
-            if let Some(value) = decode_value(&cell, &mut pos) {
+            if let Some(value) = decode_value(cell, &mut pos) {
                 props.push((self.keys.resolve(k).expect("known key").to_string(), value));
             }
         }
@@ -589,10 +687,10 @@ impl GraphSnapshot for ColumnarGraph {
             .store
             .get(&Self::key_adj(src, DIR_OUT, label))
             .ok_or_else(|| GdbError::Corrupt("edge without adjacency cell".into()))?;
-        let entry = Self::decode_adj(&cell)
-            .into_iter()
+        let entry = AdjCell::new(cell)
             .find(|x| x.eid == e.0)
             .ok_or_else(|| GdbError::Corrupt("edge missing from adjacency cell".into()))?;
+        let props = decode_props(entry.props, &mut 0).expect("props");
         Ok(Some(EdgeData {
             id: e,
             src: Vid(src),
@@ -602,7 +700,7 @@ impl GraphSnapshot for ColumnarGraph {
                 .resolve(label)
                 .unwrap_or("<unknown>")
                 .to_string(),
-            props: self.named_props(&entry.props),
+            props: self.named_props(&props),
         }))
     }
 
@@ -613,11 +711,9 @@ impl GraphSnapshot for ColumnarGraph {
         label: Option<&str>,
         ctx: &QueryCtx,
     ) -> GdbResult<Vec<Vid>> {
-        Ok(self
-            .vertex_edges(v, dir, label, ctx)?
-            .into_iter()
-            .map(|r| r.other)
-            .collect())
+        let mut out = Vec::new();
+        self.walk_edges(v, dir, label, ctx, |_, e| out.push(Vid(e.other)))?;
+        Ok(out)
     }
 
     fn vertex_edges(
@@ -627,63 +723,29 @@ impl GraphSnapshot for ColumnarGraph {
         label: Option<&str>,
         ctx: &QueryCtx,
     ) -> GdbResult<Vec<EdgeRef>> {
-        self.require_vertex(v.0)?;
-        let want = match label {
-            Some(l) => match self.elabels.get(l) {
-                Some(id) => Some(id),
-                None => return Ok(Vec::new()),
-            },
-            None => None,
-        };
         let mut out = Vec::new();
-        if matches!(dir, Direction::Out | Direction::Both) {
-            for (_, e) in self.adjacency(v.0, DIR_OUT, want, ctx)? {
-                out.push(EdgeRef {
-                    eid: Eid(e.eid),
-                    other: Vid(e.other),
-                });
-            }
-        }
-        if matches!(dir, Direction::In | Direction::Both) {
-            for (_, e) in self.adjacency(v.0, DIR_IN, want, ctx)? {
-                out.push(EdgeRef {
-                    eid: Eid(e.eid),
-                    other: Vid(e.other),
-                });
-            }
-        }
+        self.walk_edges(v, dir, label, ctx, |_, e| {
+            out.push(EdgeRef {
+                eid: Eid(e.eid),
+                other: Vid(e.other),
+            })
+        })?;
         Ok(out)
     }
 
     fn vertex_degree(&self, v: Vid, dir: Direction, ctx: &QueryCtx) -> GdbResult<u64> {
-        self.require_vertex(v.0)?;
         let mut n = 0u64;
-        if matches!(dir, Direction::Out | Direction::Both) {
-            n += self.adjacency(v.0, DIR_OUT, None, ctx)?.len() as u64;
-        }
-        if matches!(dir, Direction::In | Direction::Both) {
-            n += self.adjacency(v.0, DIR_IN, None, ctx)?.len() as u64;
-        }
+        self.walk_edges(v, dir, None, ctx, |_, _| n += 1)?;
         Ok(n)
     }
 
     fn vertex_edge_labels(&self, v: Vid, dir: Direction, ctx: &QueryCtx) -> GdbResult<Vec<String>> {
-        self.require_vertex(v.0)?;
         let mut seen: Vec<u32> = Vec::new();
-        let mut visit = |d: u8| -> GdbResult<()> {
-            for (label, _) in self.adjacency(v.0, d, None, ctx)? {
-                if !seen.contains(&label) {
-                    seen.push(label);
-                }
+        self.walk_edges(v, dir, None, ctx, |label, _| {
+            if !seen.contains(&label) {
+                seen.push(label);
             }
-            Ok(())
-        };
-        if matches!(dir, Direction::Out | Direction::Both) {
-            visit(DIR_OUT)?;
-        }
-        if matches!(dir, Direction::In | Direction::Both) {
-            visit(DIR_IN)?;
-        }
+        })?;
         Ok(seen
             .into_iter()
             .filter_map(|l| self.elabels.resolve(l).map(String::from))
@@ -694,46 +756,34 @@ impl GraphSnapshot for ColumnarGraph {
         &'a self,
         ctx: &'a QueryCtx,
     ) -> GdbResult<Box<dyn Iterator<Item = GdbResult<Vid>> + 'a>> {
-        Ok(Box::new(
-            self.store
-                .scan_range(&[], PrefixEnd::Unbounded)
-                .filter_map(move |(key, _)| {
-                    if let Err(e) = ctx.tick() {
-                        return Some(Err(e));
-                    }
-                    if key.len() == 9 && key[8] == Q_LABEL {
-                        Some(Ok(Vid(u64::from_be_bytes(
-                            key[0..8].try_into().expect("vid"),
-                        ))))
-                    } else {
-                        None
-                    }
-                }),
-        ))
+        Ok(Box::new(self.store.scan().filter_map(move |(key, _)| {
+            if let Err(e) = ctx.tick() {
+                return Some(Err(e));
+            }
+            (key.len() == 9 && key[8] == Q_LABEL)
+                .then(|| Ok(Vid(u64::from_be_bytes(key[0..8].try_into().expect("vid")))))
+        })))
     }
 
     fn scan_edges<'a>(
         &'a self,
         ctx: &'a QueryCtx,
     ) -> GdbResult<Box<dyn Iterator<Item = GdbResult<Eid>> + 'a>> {
-        Ok(Box::new(
-            self.store.scan_range(&[], PrefixEnd::Unbounded).flat_map(
-                move |(key, cell)| -> Vec<GdbResult<Eid>> {
-                    if let Err(e) = ctx.tick() {
-                        return vec![Err(e)];
-                    }
-                    if key.len() >= 10 && key[8] == Q_ADJ && key[9] == DIR_OUT {
-                        Self::decode_adj(&cell)
-                            .into_iter()
-                            .filter(|e| !self.deleted_edges.contains(&e.eid))
-                            .map(|e| Ok(Eid(e.eid)))
-                            .collect()
-                    } else {
-                        Vec::new()
-                    }
-                },
-            ),
-        ))
+        // One tick per store entry; the OUT cells' entries are walked lazily.
+        let mut rows = self.store.scan();
+        let mut cell = AdjCell::new(&[0]);
+        Ok(Box::new(std::iter::from_fn(move || loop {
+            if let Some(e) = cell.find(|e| !self.deleted_edges.contains(&e.eid)) {
+                return Some(Ok(Eid(e.eid)));
+            }
+            let (key, value) = rows.next()?;
+            if let Err(e) = ctx.tick() {
+                return Some(Err(e));
+            }
+            if Self::out_cell_label(key).is_some() {
+                cell = AdjCell::new(value);
+            }
+        })))
     }
 
     fn vertex_property(&self, v: Vid, name: &str) -> GdbResult<Option<Value>> {
@@ -743,7 +793,7 @@ impl GraphSnapshot for ColumnarGraph {
         };
         Ok(self.store.get(&Self::key_prop(v.0, key)).and_then(|cell| {
             let mut pos = 0usize;
-            decode_value(&cell, &mut pos)
+            decode_value(cell, &mut pos)
         }))
     }
 
@@ -755,16 +805,9 @@ impl GraphSnapshot for ColumnarGraph {
         let Some(cell) = self.store.get(&Self::key_adj(src, DIR_OUT, label)) else {
             return Ok(None);
         };
-        Ok(Self::decode_adj(&cell)
-            .into_iter()
+        Ok(AdjCell::new(cell)
             .find(|x| x.eid == e.0)
-            .and_then(|entry| {
-                entry
-                    .props
-                    .into_iter()
-                    .find(|(k, _)| *k == key)
-                    .map(|(_, v)| v)
-            }))
+            .and_then(|entry| prop_values(entry.props, key).next()))
     }
 
     fn edge_endpoints(&self, e: Eid) -> GdbResult<Option<(Vid, Vid)>> {
@@ -786,7 +829,7 @@ impl GraphSnapshot for ColumnarGraph {
             return Ok(None);
         };
         let mut pos = 0usize;
-        let label = read_varint(&cell, &mut pos).expect("label id") as u32;
+        let label = read_varint(cell, &mut pos).expect("label id") as u32;
         Ok(self.vlabels.resolve(label).map(String::from))
     }
 
@@ -970,20 +1013,14 @@ impl GraphDb for ColumnarGraph {
         let ctx = QueryCtx::unbounded();
         let mut eids: Vec<u64> = Vec::new();
         for dir in [DIR_OUT, DIR_IN] {
-            for (_, entry) in self.adjacency(v.0, dir, None, &ctx)? {
-                eids.push(entry.eid);
-            }
+            self.walk_adjacency(v.0, dir, None, &ctx, &mut |_, e| eids.push(e.eid))?;
         }
-        eids.sort_unstable();
-        eids.dedup();
-        for eid in eids {
-            self.deleted_edges.insert(eid);
-        }
+        self.deleted_edges.extend(eids);
         // Tombstone all of the row's cells.
         let keys: Vec<Vec<u8>> = self
             .store
-            .scan_prefix(&Self::key_row_prefix(v.0))
-            .map(|(k, _)| k)
+            .scan_prefix(&v.0.to_be_bytes())
+            .map(|(k, _)| k.to_vec())
             .collect();
         for k in keys {
             self.store.delete(&k);
@@ -1010,7 +1047,7 @@ impl GraphDb for ColumnarGraph {
         let k = Self::key_prop(v.0, key);
         let old = self.store.get(&k).and_then(|cell| {
             let mut pos = 0usize;
-            decode_value(&cell, &mut pos)
+            decode_value(cell, &mut pos)
         });
         if old.is_some() {
             self.store.delete(&k);
@@ -1095,10 +1132,10 @@ mod tests {
         let b = g.add_vertex("n", &vec![]).unwrap();
         let e = g.add_edge(a, b, "l", &vec![]).unwrap();
         let cell_key = ColumnarGraph::key_adj(a.0, DIR_OUT, 0);
-        let before = g.store.get(&cell_key).unwrap();
+        let before = g.store.get(&cell_key).unwrap().to_vec();
         g.remove_edge(e).unwrap();
         // The adjacency cell is untouched; only the tombstone set grows.
-        assert_eq!(g.store.get(&cell_key).unwrap(), before);
+        assert_eq!(g.store.get(&cell_key).unwrap(), before.as_slice());
         assert!(g.deleted_edges.contains(&e.0));
         let ctx = QueryCtx::unbounded();
         assert!(g

@@ -280,11 +280,13 @@ struct Slot {
 /// The flight recorder: a fixed-capacity MPMC ring of [`TraceRecord`]s.
 ///
 /// Writers take a global ticket (`fetch_add`) and publish into
-/// `ticket % capacity` under that slot's seqlock. Two writers racing the
-/// same slot across a wraparound resolve by generation: the claim CAS of
-/// the loser fails and its record is **dropped** (a flight recorder keeps
-/// recent history; it never blocks the op path to keep a particular
-/// record). Readers never block writers and never observe torn records.
+/// `ticket % capacity` under that slot's seqlock. A writer claims a slot
+/// only from a stable (even) `seq` of an older generation, so at most one
+/// writer holds a slot at a time. Two writers racing the same slot across
+/// a wraparound resolve by generation: the loser's claim fails and its
+/// record is **dropped** (a flight recorder keeps recent history; it never
+/// blocks the op path to keep a particular record). Readers never block
+/// writers and never observe torn records.
 pub struct TraceRing {
     slots: Box<[Slot]>,
     head: AtomicU64,
@@ -330,9 +332,10 @@ impl TraceRing {
         // Final even seq for this generation; the odd claim value precedes it.
         let target = (ticket / cap + 1) * 2;
         let prev = slot.seq.load(Acquire);
-        if prev >= target - 1 {
-            // A later generation already claimed or published this slot:
-            // our ticket lost a full wraparound race. Drop.
+        if prev % 2 == 1 || prev >= target - 1 {
+            // Another writer holds the slot mid-publish, or a later
+            // generation already claimed or published it: our ticket lost a
+            // wraparound race. Drop.
             return false;
         }
         if slot
@@ -344,11 +347,14 @@ impl TraceRing {
             return false;
         }
         for (w, v) in slot.words.iter().zip(pack(rec)) {
-            // gm-check: relaxed(word stores are published by the Release seq store below)
+            // gm-check: relaxed(word stores are published by the Release seq CAS below)
             w.store(v, Relaxed);
         }
-        slot.seq.store(target, Release);
-        true
+        // Only the claimer moves an odd seq, so this CAS from our own claim
+        // value cannot fail; it keeps `seq` from ever moving backwards.
+        slot.seq
+            .compare_exchange(target - 1, target, Release, Relaxed)
+            .is_ok()
     }
 
     /// Copy out every stable record, oldest ticket first. Slots mid-write

@@ -7,7 +7,9 @@
 //! so they serialize on one mutex and restore the previous mode on exit
 //! (drop guard — a panicking case must not poison the other tests).
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
+use std::time::Duration;
 
 use gm_obs::trace::{self, mix_id, TailGate, TraceMode, TraceOrigin, TraceRecord, TraceRing};
 use gm_obs::PhaseNanos;
@@ -164,37 +166,53 @@ proptest! {
     }
 }
 
-/// Concurrent writers racing a live snapshotting reader across heavy
+/// Concurrent writers racing live snapshotting readers across heavy
 /// wraparound: every record any snapshot ever surfaces is untorn. (Plain
 /// test, not proptest — the schedule is the randomness that matters.)
+///
+/// The ring is the smallest one and the threads outnumber the cores several
+/// times over, so writers are preempted mid-publish while the others lap
+/// their slot many times. A claim protocol that lets a second writer into a
+/// slot still being written leaves a mixed record behind a stable `seq`
+/// within the first few hundred such preemptions; the test runs for far
+/// more.
 #[test]
 fn concurrent_writers_never_surface_a_torn_record() {
-    let ring = TraceRing::new(32);
-    let writers = 4u64;
-    let pushes_per_writer = 5_000u64;
+    let ring = TraceRing::new(16);
+    // Writers and readers each three times the core count (cores capped at
+    // 4): oversubscribed, so the scheduler preempts writers mid-publish.
+    let threads = 3 * std::thread::available_parallelism().map_or(2, |n| n.get().min(4));
+    let writers = threads as u64;
+    let stop = AtomicBool::new(false);
     std::thread::scope(|s| {
         for w in 0..writers {
-            let ring = &ring;
+            let (ring, stop) = (&ring, &stop);
             s.spawn(move || {
-                // Disjoint key ranges per writer; collisions under
-                // wraparound may *drop* records, never tear them.
-                for k in (w * pushes_per_writer)..((w + 1) * pushes_per_writer) {
+                // Disjoint keys per writer; collisions under wraparound may
+                // *drop* records, never tear them.
+                let mut k = w;
+                while !stop.load(Ordering::Acquire) {
                     ring.push(&rec(k));
+                    k += writers;
                 }
             });
         }
-        let ring = &ring;
-        s.spawn(move || {
-            for _ in 0..2_000 {
-                for r in ring.snapshot() {
-                    assert_untorn(&r);
+        for _ in 0..threads {
+            let (ring, stop) = (&ring, &stop);
+            s.spawn(move || {
+                while !stop.load(Ordering::Acquire) {
+                    for r in ring.snapshot() {
+                        assert_untorn(&r);
+                    }
                 }
-            }
-        });
+            });
+        }
+        std::thread::sleep(Duration::from_millis(500));
+        stop.store(true, Ordering::Release);
     });
     // Quiescent: a final snapshot is fully populated and untorn.
     let snap = ring.snapshot();
-    assert!(!snap.is_empty());
+    assert_eq!(snap.len(), ring.capacity());
     for r in &snap {
         assert_untorn(r);
     }

@@ -12,39 +12,216 @@
 //! * reads consult the memtable and then immutable runs newest-first, so
 //!   read amplification grows with the number of runs until **compaction**
 //!   folds them together.
+//!
+//! # Run format
+//!
+//! A flush or a compaction writes an immutable run in an SSTable layout:
+//!
+//! * all keys of the run sit back to back in one **key arena**, all values
+//!   in one **value arena**; two offset arrays (`n + 1` entries each) delimit
+//!   entry `i` as `arena[offs[i]..offs[i + 1]]`, and a bitset marks
+//!   tombstones;
+//! * an **index summary** — like Cassandra's — holds the first 8 bytes of
+//!   every 16th key as a big-endian `u64`. A lookup binary-searches the
+//!   summary (dense integers, no pointer chasing) and then only the one or
+//!   two 16-entry blocks it selects.
+//!
+//! Reads borrow from the arenas: [`LsmTable::get`] returns `&[u8]` and scans
+//! yield `(&[u8], &[u8])` pairs. Opening a scan resolves its bounds to an
+//! index range in every run. A scan over a range that only one source (the
+//! memtable or one run) overlaps walks that source directly; otherwise a
+//! k-way merge over the overlapping sources picks the newest version of
+//! each key, ordering cursors by their keys' 8-byte heads first and taking
+//! consecutive entries from one cursor without comparisons while they stay
+//! below every other cursor's head. Neither allocates unless more than four
+//! sources overlap the range.
+//!
+//! What stays modelled: every lookup still consults the memtable and then
+//! every run newest-first, tombstones still shadow older versions until a
+//! bottom-level compaction drops them, and [`LsmTable::bytes`] still reports
+//! the prefix-compressed on-disk footprint of each run. What is gone is the
+//! in-memory overhead of the old layout: two heap allocations per entry, a
+//! cloned value per `get`, and owned copies of every scanned pair.
 
-use std::collections::BTreeMap;
+use std::collections::{btree_map, BTreeMap};
+use std::ops::Bound;
 use std::sync::Arc;
 
 /// Key-value entry; `None` is a tombstone.
 type MemEntry = Option<Vec<u8>>;
 
-/// A live `(key, value)` pair yielded by scans.
-type ScanItem = (Vec<u8>, Vec<u8>);
+/// A borrowed entry of one source: the key and its value (`None` is a
+/// tombstone).
+type Entry<'a> = (&'a [u8], Option<&'a [u8]>);
 
-/// One source cursor of the k-way merge scan.
-type SourceIter<'a> = Box<dyn Iterator<Item = SourceHead<'a>> + 'a>;
+/// Keys per index-summary block.
+const SUMMARY_STRIDE: usize = 16;
 
-/// The head element of a merge-scan source.
-type SourceHead<'a> = (&'a [u8], &'a MemEntry);
+/// The first 8 bytes of `key` as a big-endian integer, zero-padded. The
+/// map is monotone: `a <= b` implies `head(a) <= head(b)`.
+fn head(key: &[u8]) -> u64 {
+    match key.first_chunk::<8>() {
+        Some(h) => u64::from_be_bytes(*h),
+        None => {
+            let mut h = [0u8; 8];
+            h[..key.len()].copy_from_slice(key);
+            u64::from_be_bytes(h)
+        }
+    }
+}
 
-/// The upper-bound predicate of a merge scan.
-type BoundCheck<'a> = Box<dyn Fn(&[u8]) -> bool + 'a>;
+fn offset(len: usize) -> u32 {
+    u32::try_from(len).expect("an LSM run arena is limited to 4 GiB")
+}
 
 /// An immutable sorted run produced by a memtable flush or a compaction.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Run {
-    /// Sorted by key; values of `None` are tombstones.
-    entries: Vec<(Vec<u8>, MemEntry)>,
+    keys: Vec<u8>,
+    key_offs: Vec<u32>,
+    vals: Vec<u8>,
+    val_offs: Vec<u32>,
+    /// Bit `i` set: entry `i` is a tombstone.
+    tombs: Vec<u64>,
+    /// `head` of keys `0, 16, 32, …`.
+    summary: Vec<u64>,
+    tombstones: u64,
     bytes: u64,
 }
 
 impl Run {
-    fn get(&self, key: &[u8]) -> Option<&MemEntry> {
-        self.entries
-            .binary_search_by(|(k, _)| k.as_slice().cmp(key))
-            .ok()
-            .map(|i| &self.entries[i].1)
+    /// An empty run with room for `entries` entries over the given arena
+    /// sizes.
+    fn with_capacity(entries: usize, key_bytes: usize, val_bytes: usize) -> Run {
+        let mut key_offs = Vec::with_capacity(entries + 1);
+        key_offs.push(0);
+        let mut val_offs = Vec::with_capacity(entries + 1);
+        val_offs.push(0);
+        Run {
+            keys: Vec::with_capacity(key_bytes),
+            key_offs,
+            vals: Vec::with_capacity(val_bytes),
+            val_offs,
+            tombs: Vec::with_capacity(entries.div_ceil(64)),
+            summary: Vec::with_capacity(entries.div_ceil(SUMMARY_STRIDE)),
+            tombstones: 0,
+            bytes: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.key_offs.len() - 1
+    }
+
+    fn key(&self, i: usize) -> &[u8] {
+        &self.keys[self.key_offs[i] as usize..self.key_offs[i + 1] as usize]
+    }
+
+    fn value(&self, i: usize) -> Option<&[u8]> {
+        if (self.tombs[i / 64] >> (i % 64)) & 1 == 1 {
+            None
+        } else {
+            Some(&self.vals[self.val_offs[i] as usize..self.val_offs[i + 1] as usize])
+        }
+    }
+
+    /// Append an entry; keys must arrive in strictly increasing order.
+    ///
+    /// Also accumulates the on-disk footprint, modelling the SSTable
+    /// format: sorted keys are **prefix-compressed** against their
+    /// predecessor (the Cassandra/SSTable trick that, combined with the
+    /// columnar engine's delta encoding, gives Titan its Figure 1 space
+    /// win), plus a small per-entry header.
+    fn push(&mut self, key: &[u8], value: Option<&[u8]>) {
+        let i = self.len();
+        let prev = if i == 0 { &[][..] } else { self.key(i - 1) };
+        debug_assert!(i == 0 || prev < key, "run keys must be sorted and unique");
+        let shared = prev.iter().zip(key).take_while(|(a, b)| a == b).count();
+        self.bytes += (key.len() - shared) as u64 + value.map_or(1, |v| v.len() as u64) + 4;
+        if i.is_multiple_of(SUMMARY_STRIDE) {
+            self.summary.push(head(key));
+        }
+        if i.is_multiple_of(64) {
+            self.tombs.push(0);
+        }
+        self.keys.extend_from_slice(key);
+        self.key_offs.push(offset(self.keys.len()));
+        match value {
+            Some(v) => self.vals.extend_from_slice(v),
+            None => {
+                self.tombs[i / 64] |= 1 << (i % 64);
+                self.tombstones += 1;
+            }
+        }
+        self.val_offs.push(offset(self.vals.len()));
+    }
+
+    /// Release the capacity reserved for entries a merge dropped.
+    fn shrink_to_fit(&mut self) {
+        self.keys.shrink_to_fit();
+        self.key_offs.shrink_to_fit();
+        self.vals.shrink_to_fit();
+        self.val_offs.shrink_to_fit();
+        self.tombs.shrink_to_fit();
+        self.summary.shrink_to_fit();
+    }
+
+    /// Index of the first key `>= key`.
+    fn lower_bound(&self, key: &[u8]) -> usize {
+        if key.is_empty() {
+            return 0;
+        }
+        // A block whose sampled head is below `key`'s head starts below
+        // `key`; one whose sampled head is above it starts above `key`. Equal
+        // heads may straddle blocks, so the search window spans them all.
+        let h = head(key);
+        let below = self.summary.partition_point(|&s| s < h);
+        let above = below
+            + self.summary[below..]
+                .iter()
+                .take_while(|&&s| s == h)
+                .count();
+        let lo = below.saturating_sub(1) * SUMMARY_STRIDE;
+        let hi = (above * SUMMARY_STRIDE).min(self.len());
+        self.partition(lo, hi, |k| k < key)
+    }
+
+    /// Index of the first entry at or after `from` that `upper` excludes.
+    fn end(&self, from: usize, upper: Upper<'_>) -> usize {
+        let p = match upper {
+            Upper::Unbounded => return self.len(),
+            Upper::Below(hi) => return self.lower_bound(hi).max(from),
+            Upper::Prefix(p) => p,
+        };
+        // Gallop from `from`: a prefix usually covers a handful of entries.
+        // Every entry before `lo` has the prefix; `hi` is excluded or past
+        // the end.
+        let (mut lo, mut hi, mut step) = (from, from, 1);
+        while hi < self.len() && self.key(hi).starts_with(p) {
+            lo = hi + 1;
+            hi = from + step;
+            step *= 2;
+        }
+        self.partition(lo, hi.min(self.len()), |k| k.starts_with(p))
+    }
+
+    /// The first index in `lo..hi` whose key fails `pred`, or `hi`; `pred`
+    /// must hold on a leading part of the range and fail on the rest.
+    fn partition(&self, mut lo: usize, mut hi: usize, pred: impl Fn(&[u8]) -> bool) -> usize {
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if pred(self.key(mid)) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    fn get(&self, key: &[u8]) -> Option<Option<&[u8]>> {
+        let i = self.lower_bound(key);
+        (i < self.len() && self.key(i) == key).then(|| self.value(i))
     }
 }
 
@@ -123,16 +300,11 @@ impl LsmTable {
     }
 
     /// Point lookup; `None` for missing or tombstoned keys.
-    pub fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
+    pub fn get(&self, key: &[u8]) -> Option<&[u8]> {
         if let Some(entry) = self.mem.get(key) {
-            return entry.clone();
+            return entry.as_deref();
         }
-        for run in self.runs.iter().rev() {
-            if let Some(entry) = run.get(key) {
-                return entry.clone();
-            }
-        }
-        None
+        self.runs.iter().rev().find_map(|run| run.get(key))?
     }
 
     /// Whether a live value exists for `key`.
@@ -140,48 +312,43 @@ impl LsmTable {
         self.get(key).is_some()
     }
 
-    /// Iterate live `(key, value)` pairs whose key starts with `prefix`,
-    /// in key order, with newest-version-wins and tombstone suppression.
-    pub fn scan_prefix<'a>(&'a self, prefix: &'a [u8]) -> impl Iterator<Item = ScanItem> + 'a {
-        self.scan_range(prefix, PrefixEnd::of(prefix))
+    /// Iterate every live `(key, value)` pair in key order.
+    pub fn scan(&self) -> Scan<'_> {
+        self.scan_from(&[], Upper::Unbounded)
     }
 
-    /// Iterate live pairs with `lo <= key < hi` (no upper bound when
-    /// `hi == PrefixEnd::Unbounded`).
-    pub fn scan_range<'a>(
-        &'a self,
-        lo: &'a [u8],
-        hi: PrefixEnd,
-    ) -> impl Iterator<Item = ScanItem> + 'a {
-        // Build per-source cursors: index 0 = memtable (newest), then runs
-        // newest-first. A k-way merge picks the smallest key; on ties the
-        // newest source wins and older duplicates are skipped.
-        let within = move |k: &[u8]| match &hi {
-            PrefixEnd::Excluded(h) => k < h.as_slice(),
-            PrefixEnd::Unbounded => true,
+    /// Iterate live `(key, value)` pairs whose key starts with `prefix`,
+    /// in key order, with newest-version-wins and tombstone suppression.
+    pub fn scan_prefix<'a>(&'a self, prefix: &'a [u8]) -> Scan<'a> {
+        self.scan_from(prefix, Upper::Prefix(prefix))
+    }
+
+    /// Iterate live pairs with `lo <= key < hi` (no upper bound when `hi`
+    /// is `None`).
+    pub fn scan_range<'a>(&'a self, lo: &'a [u8], hi: Option<&'a [u8]>) -> Scan<'a> {
+        self.scan_from(lo, hi.map_or(Upper::Unbounded, Upper::Below))
+    }
+
+    fn scan_from<'a>(&'a self, lo: &'a [u8], upper: Upper<'a>) -> Scan<'a> {
+        // Sources newest-first: the memtable, then the runs. Only sources
+        // with an entry inside the range take part.
+        let mem = Source::Mem {
+            range: self
+                .mem
+                .range::<[u8], _>((Bound::Included(lo), Bound::Unbounded)),
+            upper,
         };
-        let mut sources: Vec<SourceIter<'a>> = Vec::new();
-        sources.push(Box::new(
-            self.mem
-                .range(lo.to_vec()..)
-                .map(|(k, v)| (k.as_slice(), v)),
-        ));
-        for run in self.runs.iter().rev() {
-            let start = run.entries.partition_point(|(k, _)| k.as_slice() < lo);
-            sources.push(Box::new(
-                run.entries[start..].iter().map(|(k, v)| (k.as_slice(), v)),
-            ));
-        }
-        MergeScan {
-            heads: sources.iter_mut().map(|s| s.next()).collect(),
-            sources,
-            within: Box::new(within),
-        }
+        let runs = self.runs.iter().rev().map(|run| {
+            let pos = run.lower_bound(lo);
+            let end = run.end(pos, upper);
+            Source::Run { run, pos, end }
+        });
+        Scan::new(std::iter::once(mem).chain(runs))
     }
 
     /// Count of live keys (scans everything; test/debug helper).
     pub fn live_len(&self) -> usize {
-        self.scan_range(&[], PrefixEnd::Unbounded).count()
+        self.scan().count()
     }
 
     fn maybe_flush(&mut self) {
@@ -195,10 +362,16 @@ impl LsmTable {
         if self.mem.is_empty() {
             return;
         }
-        let entries: Vec<(Vec<u8>, MemEntry)> = std::mem::take(&mut self.mem).into_iter().collect();
-        let bytes = run_bytes(&entries);
-        self.stats.tombstones += entries.iter().filter(|(_, v)| v.is_none()).count() as u64;
-        self.runs.push(Arc::new(Run { entries, bytes }));
+        let mem = std::mem::take(&mut self.mem);
+        let (key_bytes, val_bytes) = mem.iter().fold((0, 0), |(k, v), (key, val)| {
+            (k + key.len(), v + val.as_ref().map_or(0, Vec::len))
+        });
+        let mut run = Run::with_capacity(mem.len(), key_bytes, val_bytes);
+        for (k, v) in &mem {
+            run.push(k, v.as_deref());
+        }
+        self.stats.tombstones += run.tombstones;
+        self.runs.push(Arc::new(run));
         self.stats.flushes += 1;
         if self.runs.len() > self.config.max_runs {
             self.compact_tail();
@@ -232,40 +405,31 @@ impl LsmTable {
         if self.runs.len() <= keep.max(1) {
             return;
         }
+        // Snapshot clones may still hold the old runs' `Arc`s, so the merge
+        // reads them by reference and writes a fresh run.
         let tail = self.runs.split_off(keep);
-        let mut merged: BTreeMap<Vec<u8>, MemEntry> = BTreeMap::new();
-        for run in tail {
-            // Later (newer) runs overwrite earlier entries. Snapshot clones
-            // may still hold the old runs' `Arc`s, so merge by reference
-            // (or by move when this table is the last owner).
-            match Arc::try_unwrap(run) {
-                Ok(run) => {
-                    for (k, v) in run.entries {
-                        merged.insert(k, v);
-                    }
-                }
-                Err(shared) => {
-                    for (k, v) in &shared.entries {
-                        merged.insert(k.clone(), v.clone());
-                    }
-                }
+        let (entries, key_bytes, val_bytes) = tail.iter().fold((0, 0, 0), |(n, k, v), r| {
+            (n + r.len(), k + r.keys.len(), v + r.vals.len())
+        });
+        let mut merged = Run::with_capacity(entries, key_bytes, val_bytes);
+        let mut sources: Vec<_> = tail
+            .iter()
+            .rev()
+            .map(|run| {
+                let end = run.len();
+                Cursor::open(Source::Run { run, pos: 0, end })
+            })
+            .collect();
+        let mut streak = None;
+        while let Some((k, v)) = merge_next(&mut sources, &mut streak) {
+            if keep > 0 || v.is_some() {
+                merged.push(k, v);
             }
         }
-        // Tombstones at the bottom level can be dropped entirely.
-        let entries: Vec<(Vec<u8>, MemEntry)> = if keep == 0 {
-            merged.into_iter().filter(|(_, v)| v.is_some()).collect()
-        } else {
-            merged.into_iter().collect()
-        };
-        let bytes = run_bytes(&entries);
-        self.runs.push(Arc::new(Run { entries, bytes }));
+        merged.shrink_to_fit();
+        self.runs.push(Arc::new(merged));
         self.stats.compactions += 1;
-        // Recount live tombstones (cheap: a scan, no allocation).
-        self.stats.tombstones = self
-            .runs
-            .iter()
-            .map(|r| r.entries.iter().filter(|(_, v)| v.is_none()).count() as u64)
-            .sum();
+        self.stats.tombstones = self.runs.iter().map(|r| r.tombstones).sum();
     }
 
     /// Number of immutable runs currently on "disk".
@@ -290,92 +454,210 @@ impl LsmTable {
     }
 }
 
-/// On-disk footprint of an immutable run, modelling the SSTable format:
-/// sorted keys are **prefix-compressed** against their predecessor (the
-/// Cassandra/SSTable trick that, combined with the columnar engine's delta
-/// encoding, gives Titan its Figure 1 space win), plus a small per-entry
-/// header.
-fn run_bytes(entries: &[(Vec<u8>, MemEntry)]) -> u64 {
-    let mut total = 0u64;
-    let mut prev: &[u8] = &[];
-    for (k, v) in entries {
-        let shared = prev
-            .iter()
-            .zip(k.iter())
-            .take_while(|(a, b)| a == b)
-            .count();
-        total += (k.len() - shared) as u64 + v.as_ref().map_or(1, |v| v.len() as u64) + 4;
-        prev = k;
-    }
-    total
-}
-
-/// Exclusive upper bound for [`LsmTable::scan_range`].
-#[derive(Debug, Clone)]
-pub enum PrefixEnd {
-    /// Stop before this key.
-    Excluded(Vec<u8>),
-    /// No upper bound.
+/// Where a scan stops.
+#[derive(Debug, Clone, Copy)]
+enum Upper<'a> {
     Unbounded,
+    /// Stop before this key.
+    Below(&'a [u8]),
+    /// Stop at the first key without this prefix.
+    Prefix(&'a [u8]),
 }
 
-impl PrefixEnd {
-    /// The smallest key greater than every key with the given prefix.
-    pub fn of(prefix: &[u8]) -> PrefixEnd {
-        let mut end = prefix.to_vec();
-        while let Some(last) = end.last_mut() {
-            if *last < 0xFF {
-                *last += 1;
-                return PrefixEnd::Excluded(end);
-            }
-            end.pop();
+impl Upper<'_> {
+    fn admits(self, key: &[u8]) -> bool {
+        match self {
+            Upper::Unbounded => true,
+            Upper::Below(hi) => key < hi,
+            Upper::Prefix(p) => key.starts_with(p),
         }
-        PrefixEnd::Unbounded
     }
 }
 
-struct MergeScan<'a> {
-    sources: Vec<SourceIter<'a>>,
-    heads: Vec<Option<SourceHead<'a>>>,
-    within: BoundCheck<'a>,
+/// The position of a scan in one source. A run resolves the scan's upper
+/// bound to an end index when the scan opens; the memtable checks it per
+/// entry.
+enum Source<'a> {
+    Mem {
+        range: btree_map::Range<'a, Vec<u8>, MemEntry>,
+        upper: Upper<'a>,
+    },
+    Run {
+        run: &'a Run,
+        pos: usize,
+        end: usize,
+    },
 }
 
-impl<'a> Iterator for MergeScan<'a> {
-    type Item = ScanItem;
+impl<'a> Source<'a> {
+    fn next(&mut self) -> Option<Entry<'a>> {
+        match self {
+            Source::Mem { range, upper } => range
+                .next()
+                .map(|(k, v)| (k.as_slice(), v.as_deref()))
+                .filter(|(k, _)| upper.admits(k)),
+            Source::Run { run, pos, end } => (*pos < *end).then(|| {
+                let i = *pos;
+                *pos += 1;
+                (run.key(i), run.value(i))
+            }),
+        }
+    }
+}
+
+/// A key as merges order it: its `head` first, the whole key on a tie.
+type MergeKey<'a> = (u64, &'a [u8]);
+
+/// A source with its next in-range entry peeked.
+struct Cursor<'a> {
+    peek: Entry<'a>,
+    source: Source<'a>,
+}
+
+impl<'a> Cursor<'a> {
+    /// `None` when the source holds no entry in range.
+    fn open(mut source: Source<'a>) -> Option<Cursor<'a>> {
+        let peek = source.next()?;
+        Some(Cursor { peek, source })
+    }
+
+    /// Move to the next in-range entry; `false` once the source is done.
+    fn advance(&mut self) -> bool {
+        match self.source.next() {
+            Some(entry) => {
+                self.peek = entry;
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn key(&self) -> MergeKey<'a> {
+        (head(self.peek.0), self.peek.0)
+    }
+}
+
+/// A merge's winning cursor while every other head is known to be larger:
+/// its slot, and the smallest other head (`None`: no other cursor). Until
+/// the winner reaches that key, its entries come out without comparing
+/// the other cursors.
+type Streak<'a> = Option<(usize, Option<MergeKey<'a>>)>;
+
+/// Pop the smallest key across the live cursors in `slots` (ordered newest
+/// source first): the newest version wins, older versions of the key are
+/// skipped, and exhausted cursors leave their slot empty.
+fn merge_next<'a>(slots: &mut [Option<Cursor<'a>>], streak: &mut Streak<'a>) -> Option<Entry<'a>> {
+    if let Some((at, limit)) = *streak {
+        let c = slots[at].as_mut().expect("a streak's cursor is live");
+        let entry = c.peek;
+        if !c.advance() {
+            slots[at] = None;
+            *streak = None;
+        } else if limit.is_some_and(|l| c.key() >= l) {
+            *streak = None;
+        }
+        return Some(entry);
+    }
+    // The smallest key (the newest source wins ties) and the smallest key
+    // among the other cursors; equal keys mean older versions to skip.
+    let mut first: Option<(usize, MergeKey<'a>)> = None;
+    let mut second: Option<MergeKey<'a>> = None;
+    for (i, c) in slots.iter().enumerate() {
+        let Some(c) = c else { continue };
+        let key = c.key();
+        match first {
+            Some((_, f)) if key >= f => {
+                if second.is_none_or(|s| key < s) {
+                    second = Some(key);
+                }
+            }
+            _ => {
+                second = first.map(|(_, f)| f).or(second);
+                first = Some((i, key));
+            }
+        }
+    }
+    let (at, best) = first?;
+    let entry = slots[at].as_ref().map(|c| c.peek)?;
+    if second == Some(best) {
+        // Older versions sit after the winner: a newer one would have won.
+        for slot in &mut slots[at..] {
+            if let Some(c) = slot {
+                if c.peek.0 == best.1 && !c.advance() {
+                    *slot = None;
+                }
+            }
+        }
+    } else if let Some(c) = slots[at].as_mut() {
+        if !c.advance() {
+            slots[at] = None;
+        } else if second.is_none_or(|s| c.key() < s) {
+            *streak = Some((at, second));
+        }
+    }
+    Some(entry)
+}
+
+/// Overlapping sources up to this count merge without a heap allocation.
+const INLINE_SOURCES: usize = 4;
+
+/// An ordered scan over live `(key, value)` pairs, borrowed from the table.
+///
+/// Makes no heap allocation unless more than four sources overlap the
+/// scanned range.
+pub struct Scan<'a> {
+    /// The overlapping sources, newest first.
+    inline: [Option<Cursor<'a>>; INLINE_SOURCES],
+    /// All overlapping sources instead, when more than `INLINE_SOURCES`.
+    heap: Vec<Option<Cursor<'a>>>,
+    /// More than one source overlaps: merge. Otherwise walk `inline[0]`.
+    merge: bool,
+    streak: Streak<'a>,
+}
+
+impl<'a> Scan<'a> {
+    fn new(sources: impl Iterator<Item = Source<'a>>) -> Scan<'a> {
+        let mut scan = Scan {
+            inline: Default::default(),
+            heap: Vec::new(),
+            merge: false,
+            streak: None,
+        };
+        for (i, c) in sources.filter_map(Cursor::open).enumerate() {
+            scan.merge = i > 0;
+            if i < INLINE_SOURCES {
+                scan.inline[i] = Some(c);
+            } else {
+                if scan.heap.is_empty() {
+                    scan.heap.extend(scan.inline.iter_mut().map(Option::take));
+                }
+                scan.heap.push(Some(c));
+            }
+        }
+        scan
+    }
+}
+
+impl<'a> Iterator for Scan<'a> {
+    type Item = (&'a [u8], &'a [u8]);
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            // Find the smallest key among heads; newest source (lowest index)
-            // wins ties.
-            let mut best: Option<(usize, &'a [u8])> = None;
-            for (i, head) in self.heads.iter().enumerate() {
-                if let Some((k, _)) = head {
-                    match best {
-                        None => best = Some((i, k)),
-                        Some((_, bk)) if *k < bk => best = Some((i, k)),
-                        _ => {}
-                    }
+            let (key, value) = if !self.merge {
+                let cursor = self.inline[0].as_mut()?;
+                let entry = cursor.peek;
+                if !cursor.advance() {
+                    self.inline[0] = None;
                 }
-            }
-            let (winner, key) = best?;
-            if !(self.within)(key) {
-                return None;
-            }
-            let (_, entry) = self.heads[winner].take().expect("head exists");
-            self.heads[winner] = self.sources[winner].next();
-            // Skip the same key in all older sources.
-            for i in 0..self.heads.len() {
-                while let Some((k, _)) = self.heads[i] {
-                    if k == key {
-                        self.heads[i] = self.sources[i].next();
-                    } else {
-                        break;
-                    }
-                }
-            }
-            match entry {
-                Some(value) => return Some((key.to_vec(), value.clone())),
-                None => continue, // tombstone suppresses older versions
+                entry
+            } else if self.heap.is_empty() {
+                merge_next(&mut self.inline, &mut self.streak)?
+            } else {
+                merge_next(&mut self.heap, &mut self.streak)?
+            };
+            // A tombstone suppresses older versions and yields nothing.
+            if let Some(value) = value {
+                return Some((key, value));
             }
         }
     }
@@ -397,10 +679,10 @@ mod tests {
         let mut t = LsmTable::default();
         t.put(b"a", b"1");
         t.put(b"b", b"2");
-        assert_eq!(t.get(b"a"), Some(b"1".to_vec()));
+        assert_eq!(t.get(b"a"), Some(&b"1"[..]));
         t.delete(b"a");
         assert_eq!(t.get(b"a"), None);
-        assert_eq!(t.get(b"b"), Some(b"2".to_vec()));
+        assert_eq!(t.get(b"b"), Some(&b"2"[..]));
         assert!(!t.contains(b"c"));
     }
 
@@ -414,7 +696,7 @@ mod tests {
             t.flush();
         }
         for k in 0..10u8 {
-            assert_eq!(t.get(&[k]), Some(vec![4]));
+            assert_eq!(t.get(&[k]), Some(&[4u8][..]));
         }
     }
 
@@ -483,34 +765,96 @@ mod tests {
         k2.push(2);
         t.delete(&k2);
 
-        let hits: Vec<(Vec<u8>, Vec<u8>)> = t.scan_prefix(&2u32.to_be_bytes()).collect();
+        let row = 2u32.to_be_bytes();
+        let hits: Vec<(&[u8], &[u8])> = t.scan_prefix(&row).collect();
         assert_eq!(hits.len(), 3, "one column deleted");
-        assert_eq!(hits[1].1, b"new".to_vec());
+        assert_eq!(hits[1].1, b"new");
         // Keys come back sorted.
-        let keys: Vec<&[u8]> = hits.iter().map(|(k, _)| k.as_slice()).collect();
+        let keys: Vec<&[u8]> = hits.iter().map(|(k, _)| *k).collect();
         let mut sorted = keys.clone();
         sorted.sort();
         assert_eq!(keys, sorted);
     }
 
     #[test]
-    fn prefix_end_handles_ff() {
-        match PrefixEnd::of(&[1, 0xFF]) {
-            PrefixEnd::Excluded(e) => assert_eq!(e, vec![2]),
-            _ => panic!("expected excluded"),
+    fn prefix_scan_handles_ff_and_empty_prefixes() {
+        let mut t = small();
+        for k in [
+            &[1, 0xFE][..],
+            &[1, 0xFF],
+            &[1, 0xFF, 0],
+            &[2],
+            &[0xFF, 0xFF],
+        ] {
+            t.put(k, b"v");
         }
-        assert!(matches!(PrefixEnd::of(&[0xFF, 0xFF]), PrefixEnd::Unbounded));
-        assert!(matches!(PrefixEnd::of(&[]), PrefixEnd::Unbounded));
+        t.flush();
+        let keys = |p: &[u8]| {
+            t.scan_prefix(p)
+                .map(|(k, _)| k.to_vec())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(keys(&[1, 0xFF]), vec![vec![1, 0xFF], vec![1, 0xFF, 0]]);
+        assert_eq!(keys(&[0xFF, 0xFF]), vec![vec![0xFF, 0xFF]]);
+        assert_eq!(keys(&[]).len(), 5);
     }
 
     #[test]
-    fn scan_range_unbounded() {
+    fn scan_range_bounds() {
         let mut t = small();
         t.put(b"a", b"1");
-        t.put(b"z", b"2");
+        t.put(b"m", b"2");
         t.flush();
-        let all: Vec<_> = t.scan_range(b"", PrefixEnd::Unbounded).collect();
-        assert_eq!(all.len(), 2);
+        t.put(b"z", b"3");
+        assert_eq!(t.scan().count(), 3);
+        assert_eq!(t.scan_range(b"", None).count(), 3);
+        let mid: Vec<_> = t.scan_range(b"b", Some(b"z")).collect();
+        assert_eq!(mid, vec![(&b"m"[..], &b"2"[..])]);
+    }
+
+    #[test]
+    fn summary_finds_keys_sharing_a_head_across_blocks() {
+        // 40 keys with one 8-byte head span three summary blocks.
+        let mut t = LsmTable::default();
+        let key = |i: u8| [7u8, 7, 7, 7, 7, 7, 7, 7, i];
+        for i in 0..40u8 {
+            t.put(&key(i), &[i]);
+        }
+        t.put(&[7u8; 7], b"short");
+        t.put(&[7u8, 7, 7, 7, 7, 7, 7, 8], b"next");
+        t.flush();
+        for i in 0..40u8 {
+            assert_eq!(t.get(&key(i)), Some(&[i][..]));
+        }
+        assert_eq!(t.get(&[7u8; 7]), Some(&b"short"[..]));
+        assert_eq!(t.get(&[7u8; 8]), None);
+        assert_eq!(t.get(&[7u8, 7, 7, 7, 7, 7, 7, 7, 40]), None);
+        assert_eq!(t.scan_prefix(&[7u8; 8]).count(), 40);
+    }
+
+    #[test]
+    fn bytes_pin_the_prefix_compressed_footprint() {
+        let mut t = LsmTable::new(LsmConfig {
+            memtable_limit: 1_000_000,
+            max_runs: 1_000_000,
+        });
+        t.put(b"abc", b"12");
+        t.put(b"abd", b"3");
+        t.put(b"b", b"");
+        t.delete(b"bb");
+        // Memtable entries: key + value (1 per tombstone) + 32.
+        assert_eq!(
+            t.bytes(),
+            (3 + 2 + 32) + (3 + 1 + 32) + (1 + 32) + (2 + 1 + 32)
+        );
+        t.flush();
+        // Run entries: unshared key suffix + value (1 per tombstone) + 4.
+        assert_eq!(t.bytes(), (3 + 2 + 4) + (1 + 1 + 4) + (1 + 4) + (1 + 1 + 4));
+        t.put(b"abc", b"9");
+        t.flush();
+        assert_eq!(t.bytes(), 26 + (3 + 1 + 4));
+        t.compact();
+        assert_eq!(t.bytes(), (3 + 1 + 4) + (1 + 1 + 4) + (1 + 4));
     }
 
     #[test]

@@ -67,6 +67,24 @@ pub fn decode_value(buf: &[u8], pos: &mut usize) -> Option<Value> {
     }
 }
 
+/// Step over one encoded value at `pos` without decoding it. `None` on
+/// malformed input.
+pub fn skip_value(buf: &[u8], pos: &mut usize) -> Option<()> {
+    let tag = *buf.get(*pos)?;
+    *pos += 1;
+    let len = match tag {
+        0x00 => 0,
+        0x01 => 1,
+        0x02 => read_varint(buf, pos).map(|_| 0)?,
+        0x03 => 8,
+        0x04 => read_varint(buf, pos)? as usize,
+        _ => return None,
+    };
+    let end = pos.checked_add(len).filter(|&end| end <= buf.len())?;
+    *pos = end;
+    Some(())
+}
+
 /// Append a `(name-id, value)` property list. Name ids come from the engine's
 /// interner.
 pub fn encode_props(out: &mut Vec<u8>, props: &[(u32, Value)]) {
@@ -87,6 +105,33 @@ pub fn decode_props(buf: &[u8], pos: &mut usize) -> Option<Vec<(u32, Value)>> {
         out.push((name_id, v));
     }
     Some(out)
+}
+
+/// Step over an encoded property list at `pos` without decoding it.
+pub fn skip_props(buf: &[u8], pos: &mut usize) -> Option<()> {
+    let n = read_varint(buf, pos)?;
+    for _ in 0..n {
+        read_varint(buf, pos)?;
+        skip_value(buf, pos)?;
+    }
+    Some(())
+}
+
+/// The values an encoded property list holds under `name_id`, in list
+/// order. Only those values are decoded; the others are stepped over.
+pub fn prop_values(buf: &[u8], name_id: u32) -> impl Iterator<Item = Value> + '_ {
+    let mut pos = 0usize;
+    let mut left = read_varint(buf, &mut pos).unwrap_or(0);
+    std::iter::from_fn(move || {
+        while left > 0 {
+            left -= 1;
+            if read_varint(buf, &mut pos)? as u32 == name_id {
+                return decode_value(buf, &mut pos);
+            }
+            skip_value(buf, &mut pos)?;
+        }
+        None
+    })
 }
 
 #[cfg(test)]
@@ -128,6 +173,31 @@ mod tests {
         let mut pos = 0;
         assert_eq!(decode_props(&buf, &mut pos), Some(props));
         assert_eq!(pos, buf.len());
+    }
+
+    #[test]
+    fn skipping_lands_where_decoding_does() {
+        let props = vec![
+            (0u32, Value::Str("ann".into())),
+            (7, Value::Int(-42)),
+            (3, Value::Float(0.5)),
+            (7, Value::Bool(true)),
+            (9, Value::Null),
+        ];
+        let mut buf = Vec::new();
+        encode_props(&mut buf, &props);
+        buf.push(0xAB);
+        let mut pos = 0;
+        assert_eq!(skip_props(&buf, &mut pos), Some(()));
+        assert_eq!(pos, buf.len() - 1);
+        let sevens: Vec<Value> = prop_values(&buf, 7).collect();
+        assert_eq!(sevens, vec![Value::Int(-42), Value::Bool(true)]);
+        assert_eq!(prop_values(&buf, 5).next(), None);
+        // Truncated or overlong lengths are rejected, never overrun.
+        let mut pos = 0;
+        assert_eq!(skip_value(&[0x04, 0x05, b'a'], &mut pos), None);
+        let mut pos = 0;
+        assert_eq!(skip_value(&[0x03, 0, 0], &mut pos), None);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use gm_storage::bptree::BPlusTree;
 use gm_storage::codec::{delta_decode, delta_encode, read_varint, write_varint};
-use gm_storage::lsm::{LsmConfig, LsmTable, PrefixEnd};
+use gm_storage::lsm::{LsmConfig, LsmTable};
 use gm_storage::{Bitmap, HashIndex, PageStore, RecordFile};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
@@ -12,6 +12,87 @@ enum MapOp {
     Insert(u16, u32),
     Remove(u16),
     Get(u16),
+}
+
+#[derive(Debug, Clone)]
+enum LsmOp {
+    Put(Vec<u8>, u32),
+    Delete(Vec<u8>),
+    Flush,
+    Compact,
+    CompactTail,
+    /// Clone the table; the clone must keep its contents from here on.
+    Freeze,
+}
+
+/// Keys of 7 to 11 bytes over three 8-byte heads. Up to 156 distinct keys
+/// share the head `[7; 8]`, so equal heads straddle the runs' 16-key
+/// index-summary blocks; suffix bytes include 0x00 and 0xFF to probe the
+/// prefix and range edges.
+fn arb_lsm_key() -> impl Strategy<Value = Vec<u8>> {
+    const SUFFIX: [u8; 5] = [0x00, 0x01, 0x7F, 0xFE, 0xFF];
+    (0usize..4, prop::collection::vec(0usize..5, 0..4)).prop_map(|(h, tail)| {
+        let mut key = match h {
+            0 | 1 => vec![7u8; 8],
+            2 => vec![7u8; 7],
+            _ => vec![7, 7, 7, 7, 7, 7, 7, 8],
+        };
+        key.extend(tail.into_iter().map(|i| SUFFIX[i]));
+        key
+    })
+}
+
+fn arb_lsm_ops() -> impl Strategy<Value = Vec<LsmOp>> {
+    prop::collection::vec(
+        prop_oneof![
+            12 => (arb_lsm_key(), any::<u32>()).prop_map(|(k, v)| LsmOp::Put(k, v)),
+            4 => arb_lsm_key().prop_map(LsmOp::Delete),
+            1 => Just(LsmOp::Flush),
+            1 => Just(LsmOp::Compact),
+            1 => Just(LsmOp::CompactTail),
+            1 => Just(LsmOp::Freeze),
+        ],
+        0..400,
+    )
+}
+
+type Oracle = BTreeMap<Vec<u8>, Vec<u8>>;
+
+/// Every read path of `lsm` agrees with `oracle`: point gets, the full
+/// scan, prefix scans, and bounded range scans.
+fn check_lsm(lsm: &LsmTable, oracle: &Oracle, probes: &[Vec<u8>]) -> Result<(), TestCaseError> {
+    let owned = |it: &mut dyn Iterator<Item = (&[u8], &[u8])>| {
+        it.map(|(k, v)| (k.to_vec(), v.to_vec()))
+            .collect::<Vec<_>>()
+    };
+    let all: Vec<(Vec<u8>, Vec<u8>)> = oracle.clone().into_iter().collect();
+    prop_assert_eq!(owned(&mut lsm.scan()), all.clone());
+    prop_assert_eq!(lsm.live_len(), oracle.len());
+    for probe in probes {
+        prop_assert_eq!(lsm.get(probe), oracle.get(probe).map(Vec::as_slice));
+        for len in [0, 7, 8, probe.len()] {
+            let prefix = &probe[..len.min(probe.len())];
+            let want: Vec<_> = all
+                .iter()
+                .filter(|(k, _)| k.starts_with(prefix))
+                .cloned()
+                .collect();
+            prop_assert_eq!(owned(&mut lsm.scan_prefix(prefix)), want);
+        }
+    }
+    for lo in probes {
+        for hi in probes {
+            let want: Vec<_> = all
+                .iter()
+                .filter(|(k, _)| k >= lo && k < hi)
+                .cloned()
+                .collect();
+            prop_assert_eq!(owned(&mut lsm.scan_range(lo, Some(hi))), want);
+        }
+        let want: Vec<_> = all.iter().filter(|(k, _)| k >= lo).cloned().collect();
+        prop_assert_eq!(owned(&mut lsm.scan_range(lo, None)), want);
+    }
+    Ok(())
 }
 
 fn arb_map_ops() -> impl Strategy<Value = Vec<MapOp>> {
@@ -106,35 +187,44 @@ proptest! {
         prop_assert_eq!(got, expect);
     }
 
-    /// LSM equals a BTreeMap oracle under put/delete with periodic flushes.
+    /// LSM equals a BTreeMap oracle under puts, deletes, flushes and both
+    /// compactions, on every read path; every clone taken along the way
+    /// keeps answering with the contents it was taken with.
     #[test]
     fn lsm_matches_btreemap(
-        ops in prop::collection::vec(
-            (any::<u8>(), prop::option::of(any::<u32>())), 0..300),
-        memtable_limit in 1usize..32,
+        ops in arb_lsm_ops(),
+        probes in prop::collection::vec(arb_lsm_key(), 1..12),
+        memtable_limit in 1usize..48,
+        max_runs in 1usize..6,
     ) {
-        let mut lsm = LsmTable::new(LsmConfig { memtable_limit, max_runs: 3 });
-        let mut oracle: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
-        for (k, v) in ops {
-            let key = vec![k];
-            match v {
-                Some(val) => {
-                    let value = val.to_be_bytes().to_vec();
-                    lsm.put(&key, &value);
-                    oracle.insert(key, value);
+        let mut lsm = LsmTable::new(LsmConfig { memtable_limit, max_runs });
+        let mut oracle = Oracle::new();
+        let mut frozen: Vec<(LsmTable, Oracle)> = Vec::new();
+        for op in ops {
+            match op {
+                LsmOp::Put(key, val) => {
+                    lsm.put(&key, &val.to_be_bytes());
+                    oracle.insert(key, val.to_be_bytes().to_vec());
                 }
-                None => {
+                LsmOp::Delete(key) => {
                     lsm.delete(&key);
                     oracle.remove(&key);
                 }
+                LsmOp::Flush => lsm.flush(),
+                LsmOp::Compact => lsm.compact(),
+                LsmOp::CompactTail => lsm.compact_tail(),
+                LsmOp::Freeze if frozen.len() < 4 => frozen.push((lsm.clone(), oracle.clone())),
+                LsmOp::Freeze => {}
             }
         }
-        for k in 0..=255u8 {
-            prop_assert_eq!(lsm.get(&[k]), oracle.get(&vec![k]).cloned());
+        check_lsm(&lsm, &oracle, &probes)?;
+        for (clone, contents) in &frozen {
+            check_lsm(clone, contents, &probes)?;
         }
-        let scanned: Vec<(Vec<u8>, Vec<u8>)> = lsm.scan_range(&[], PrefixEnd::Unbounded).collect();
-        let expect: Vec<(Vec<u8>, Vec<u8>)> = oracle.into_iter().collect();
-        prop_assert_eq!(scanned, expect);
+        lsm.flush();
+        lsm.compact();
+        prop_assert!(lsm.run_count() <= 1);
+        check_lsm(&lsm, &oracle, &probes)?;
     }
 
     /// Varint and delta codecs round-trip arbitrary input.
