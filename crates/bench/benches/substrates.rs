@@ -101,10 +101,14 @@ fn bench_substrates(c: &mut Criterion) {
     }
     let mut group = c.benchmark_group("substrate/lsm-scan");
     group.bench_function("full-scan/one-run", |b| {
-        b.iter(|| std::hint::black_box(&rows).scan().count());
+        b.iter(|| std::hint::black_box(&rows).scan_range(&[], None).count());
     });
     group.bench_function("full-scan/run+memtable", |b| {
-        b.iter(|| std::hint::black_box(&overwritten).scan().count());
+        b.iter(|| {
+            std::hint::black_box(&overwritten)
+                .scan_range(&[], None)
+                .count()
+        });
     });
     group.bench_function("scan-prefix", |b| {
         let row = (N / 2).to_be_bytes();

@@ -545,7 +545,7 @@ impl GraphSnapshot for ColumnarGraph {
     fn vertex_count(&self, ctx: &QueryCtx) -> GdbResult<u64> {
         // g.V iterates rows: a full store scan filtered to label cells.
         let mut n = 0u64;
-        for (key, _) in self.store.scan() {
+        for (key, _) in self.store.scan_range(&[], None) {
             ctx.tick()?;
             if key.len() == 9 && key[8] == Q_LABEL {
                 n += 1;
@@ -556,7 +556,7 @@ impl GraphSnapshot for ColumnarGraph {
 
     fn edge_count(&self, ctx: &QueryCtx) -> GdbResult<u64> {
         let mut n = 0u64;
-        for (key, cell) in self.store.scan() {
+        for (key, cell) in self.store.scan_range(&[], None) {
             ctx.tick()?;
             if let Some(label) = Self::out_cell_label(key) {
                 self.walk_cell(label, cell, ctx, &mut |_, _| n += 1)?;
@@ -567,7 +567,7 @@ impl GraphSnapshot for ColumnarGraph {
 
     fn edge_label_set(&self, ctx: &QueryCtx) -> GdbResult<Vec<String>> {
         let mut seen = vec![false; self.elabels.len()];
-        for (key, cell) in self.store.scan() {
+        for (key, cell) in self.store.scan_range(&[], None) {
             ctx.tick()?;
             if let Some(label) = Self::out_cell_label(key) {
                 if !seen[label as usize]
@@ -595,7 +595,7 @@ impl GraphSnapshot for ColumnarGraph {
             return Ok(Vec::new());
         };
         let mut out = Vec::new();
-        for (key, cell) in self.store.scan() {
+        for (key, cell) in self.store.scan_range(&[], None) {
             ctx.tick()?;
             if key.len() == 13 && key[8] == Q_PROP {
                 let k = u32::from_be_bytes(key[9..13].try_into().expect("key id"));
@@ -620,7 +620,7 @@ impl GraphSnapshot for ColumnarGraph {
             return Ok(Vec::new());
         };
         let mut out = Vec::new();
-        for (key, cell) in self.store.scan() {
+        for (key, cell) in self.store.scan_range(&[], None) {
             ctx.tick()?;
             if let Some(label) = Self::out_cell_label(key) {
                 self.walk_cell(label, cell, ctx, &mut |_, e| {
@@ -639,7 +639,7 @@ impl GraphSnapshot for ColumnarGraph {
             return Ok(Vec::new());
         };
         let mut out = Vec::new();
-        for (key, cell) in self.store.scan() {
+        for (key, cell) in self.store.scan_range(&[], None) {
             ctx.tick()?;
             if Self::out_cell_label(key) == Some(want) {
                 self.walk_cell(want, cell, ctx, &mut |_, e| out.push(Eid(e.eid)))?;
@@ -756,13 +756,15 @@ impl GraphSnapshot for ColumnarGraph {
         &'a self,
         ctx: &'a QueryCtx,
     ) -> GdbResult<Box<dyn Iterator<Item = GdbResult<Vid>> + 'a>> {
-        Ok(Box::new(self.store.scan().filter_map(move |(key, _)| {
-            if let Err(e) = ctx.tick() {
-                return Some(Err(e));
-            }
-            (key.len() == 9 && key[8] == Q_LABEL)
-                .then(|| Ok(Vid(u64::from_be_bytes(key[0..8].try_into().expect("vid")))))
-        })))
+        Ok(Box::new(self.store.scan_range(&[], None).filter_map(
+            move |(key, _)| {
+                if let Err(e) = ctx.tick() {
+                    return Some(Err(e));
+                }
+                (key.len() == 9 && key[8] == Q_LABEL)
+                    .then(|| Ok(Vid(u64::from_be_bytes(key[0..8].try_into().expect("vid")))))
+            },
+        )))
     }
 
     fn scan_edges<'a>(
@@ -770,7 +772,7 @@ impl GraphSnapshot for ColumnarGraph {
         ctx: &'a QueryCtx,
     ) -> GdbResult<Box<dyn Iterator<Item = GdbResult<Eid>> + 'a>> {
         // One tick per store entry; the OUT cells' entries are walked lazily.
-        let mut rows = self.store.scan();
+        let mut rows = self.store.scan_range(&[], None);
         let mut cell = AdjCell::new(&[0]);
         Ok(Box::new(std::iter::from_fn(move || loop {
             if let Some(e) = cell.find(|e| !self.deleted_edges.contains(&e.eid)) {

@@ -23,18 +23,16 @@
 //!   tombstones;
 //! * an **index summary** — like Cassandra's — holds the first 8 bytes of
 //!   every 16th key as a big-endian `u64`. A lookup binary-searches the
-//!   summary (dense integers, no pointer chasing) and then only the one or
-//!   two 16-entry blocks it selects.
+//!   summary (dense integers, no pointer chasing) and then only the
+//!   16-entry blocks whose sampled heads can hold the key.
 //!
 //! Reads borrow from the arenas: [`LsmTable::get`] returns `&[u8]` and scans
 //! yield `(&[u8], &[u8])` pairs. Opening a scan resolves its bounds to an
 //! index range in every run. A scan over a range that only one source (the
 //! memtable or one run) overlaps walks that source directly; otherwise a
-//! k-way merge over the overlapping sources picks the newest version of
-//! each key, ordering cursors by their keys' 8-byte heads first and taking
-//! consecutive entries from one cursor without comparisons while they stay
-//! below every other cursor's head. Neither allocates unless more than four
-//! sources overlap the range.
+//! k-way merge over the overlapping sources picks the smallest key and the
+//! newest version of it. Neither allocates unless more than four sources
+//! overlap the range.
 //!
 //! What stays modelled: every lookup still consults the memtable and then
 //! every run newest-first, tombstones still shadow older versions until a
@@ -188,21 +186,11 @@ impl Run {
 
     /// Index of the first entry at or after `from` that `upper` excludes.
     fn end(&self, from: usize, upper: Upper<'_>) -> usize {
-        let p = match upper {
-            Upper::Unbounded => return self.len(),
-            Upper::Below(hi) => return self.lower_bound(hi).max(from),
-            Upper::Prefix(p) => p,
-        };
-        // Gallop from `from`: a prefix usually covers a handful of entries.
-        // Every entry before `lo` has the prefix; `hi` is excluded or past
-        // the end.
-        let (mut lo, mut hi, mut step) = (from, from, 1);
-        while hi < self.len() && self.key(hi).starts_with(p) {
-            lo = hi + 1;
-            hi = from + step;
-            step *= 2;
+        match upper {
+            Upper::Unbounded => self.len(),
+            Upper::Below(hi) => self.lower_bound(hi).max(from),
+            Upper::Prefix(p) => self.partition(from, self.len(), |k| k.starts_with(p)),
         }
-        self.partition(lo, hi.min(self.len()), |k| k.starts_with(p))
     }
 
     /// The first index in `lo..hi` whose key fails `pred`, or `hi`; `pred`
@@ -312,11 +300,6 @@ impl LsmTable {
         self.get(key).is_some()
     }
 
-    /// Iterate every live `(key, value)` pair in key order.
-    pub fn scan(&self) -> Scan<'_> {
-        self.scan_from(&[], Upper::Unbounded)
-    }
-
     /// Iterate live `(key, value)` pairs whose key starts with `prefix`,
     /// in key order, with newest-version-wins and tombstone suppression.
     pub fn scan_prefix<'a>(&'a self, prefix: &'a [u8]) -> Scan<'a> {
@@ -324,7 +307,7 @@ impl LsmTable {
     }
 
     /// Iterate live pairs with `lo <= key < hi` (no upper bound when `hi`
-    /// is `None`).
+    /// is `None`); `scan_range(&[], None)` is the full scan.
     pub fn scan_range<'a>(&'a self, lo: &'a [u8], hi: Option<&'a [u8]>) -> Scan<'a> {
         self.scan_from(lo, hi.map_or(Upper::Unbounded, Upper::Below))
     }
@@ -348,7 +331,7 @@ impl LsmTable {
 
     /// Count of live keys (scans everything; test/debug helper).
     pub fn live_len(&self) -> usize {
-        self.scan().count()
+        self.scan_range(&[], None).count()
     }
 
     fn maybe_flush(&mut self) {
@@ -420,8 +403,7 @@ impl LsmTable {
                 Cursor::open(Source::Run { run, pos: 0, end })
             })
             .collect();
-        let mut streak = None;
-        while let Some((k, v)) = merge_next(&mut sources, &mut streak) {
+        while let Some((k, v)) = merge_next(&mut sources) {
             if keep > 0 || v.is_some() {
                 merged.push(k, v);
             }
@@ -505,9 +487,6 @@ impl<'a> Source<'a> {
     }
 }
 
-/// A key as merges order it: its `head` first, the whole key on a tie.
-type MergeKey<'a> = (u64, &'a [u8]);
-
 /// A source with its next in-range entry peeked.
 struct Cursor<'a> {
     peek: Entry<'a>,
@@ -531,68 +510,28 @@ impl<'a> Cursor<'a> {
             None => false,
         }
     }
-
-    fn key(&self) -> MergeKey<'a> {
-        (head(self.peek.0), self.peek.0)
-    }
 }
-
-/// A merge's winning cursor while every other head is known to be larger:
-/// its slot, and the smallest other head (`None`: no other cursor). Until
-/// the winner reaches that key, its entries come out without comparing
-/// the other cursors.
-type Streak<'a> = Option<(usize, Option<MergeKey<'a>>)>;
 
 /// Pop the smallest key across the live cursors in `slots` (ordered newest
 /// source first): the newest version wins, older versions of the key are
 /// skipped, and exhausted cursors leave their slot empty.
-fn merge_next<'a>(slots: &mut [Option<Cursor<'a>>], streak: &mut Streak<'a>) -> Option<Entry<'a>> {
-    if let Some((at, limit)) = *streak {
-        let c = slots[at].as_mut().expect("a streak's cursor is live");
-        let entry = c.peek;
-        if !c.advance() {
-            slots[at] = None;
-            *streak = None;
-        } else if limit.is_some_and(|l| c.key() >= l) {
-            *streak = None;
-        }
-        return Some(entry);
-    }
-    // The smallest key (the newest source wins ties) and the smallest key
-    // among the other cursors; equal keys mean older versions to skip.
-    let mut first: Option<(usize, MergeKey<'a>)> = None;
-    let mut second: Option<MergeKey<'a>> = None;
+fn merge_next<'a>(slots: &mut [Option<Cursor<'a>>]) -> Option<Entry<'a>> {
+    let mut best: Option<(usize, &'a [u8])> = None;
     for (i, c) in slots.iter().enumerate() {
-        let Some(c) = c else { continue };
-        let key = c.key();
-        match first {
-            Some((_, f)) if key >= f => {
-                if second.is_none_or(|s| key < s) {
-                    second = Some(key);
-                }
-            }
-            _ => {
-                second = first.map(|(_, f)| f).or(second);
-                first = Some((i, key));
+        if let Some(c) = c {
+            if best.is_none_or(|(_, b)| c.peek.0 < b) {
+                best = Some((i, c.peek.0));
             }
         }
     }
-    let (at, best) = first?;
-    let entry = slots[at].as_ref().map(|c| c.peek)?;
-    if second == Some(best) {
-        // Older versions sit after the winner: a newer one would have won.
-        for slot in &mut slots[at..] {
-            if let Some(c) = slot {
-                if c.peek.0 == best.1 && !c.advance() {
-                    *slot = None;
-                }
+    let (at, key) = best?;
+    let entry = slots[at].as_ref()?.peek;
+    // Older versions sit after the winner: a newer one would have won.
+    for slot in &mut slots[at..] {
+        if let Some(c) = slot {
+            if c.peek.0 == key && !c.advance() {
+                *slot = None;
             }
-        }
-    } else if let Some(c) = slots[at].as_mut() {
-        if !c.advance() {
-            slots[at] = None;
-        } else if second.is_none_or(|s| c.key() < s) {
-            *streak = Some((at, second));
         }
     }
     Some(entry)
@@ -612,7 +551,6 @@ pub struct Scan<'a> {
     heap: Vec<Option<Cursor<'a>>>,
     /// More than one source overlaps: merge. Otherwise walk `inline[0]`.
     merge: bool,
-    streak: Streak<'a>,
 }
 
 impl<'a> Scan<'a> {
@@ -621,7 +559,6 @@ impl<'a> Scan<'a> {
             inline: Default::default(),
             heap: Vec::new(),
             merge: false,
-            streak: None,
         };
         for (i, c) in sources.filter_map(Cursor::open).enumerate() {
             scan.merge = i > 0;
@@ -651,9 +588,9 @@ impl<'a> Iterator for Scan<'a> {
                 }
                 entry
             } else if self.heap.is_empty() {
-                merge_next(&mut self.inline, &mut self.streak)?
+                merge_next(&mut self.inline)?
             } else {
-                merge_next(&mut self.heap, &mut self.streak)?
+                merge_next(&mut self.heap)?
             };
             // A tombstone suppresses older versions and yields nothing.
             if let Some(value) = value {
@@ -806,7 +743,6 @@ mod tests {
         t.put(b"m", b"2");
         t.flush();
         t.put(b"z", b"3");
-        assert_eq!(t.scan().count(), 3);
         assert_eq!(t.scan_range(b"", None).count(), 3);
         let mid: Vec<_> = t.scan_range(b"b", Some(b"z")).collect();
         assert_eq!(mid, vec![(&b"m"[..], &b"2"[..])]);

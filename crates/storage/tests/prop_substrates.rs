@@ -6,6 +6,7 @@ use gm_storage::lsm::{LsmConfig, LsmTable};
 use gm_storage::{Bitmap, HashIndex, PageStore, RecordFile};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::ops::Bound;
 
 #[derive(Debug, Clone)]
 enum MapOp {
@@ -58,39 +59,47 @@ fn arb_lsm_ops() -> impl Strategy<Value = Vec<LsmOp>> {
 
 type Oracle = BTreeMap<Vec<u8>, Vec<u8>>;
 
-/// Every read path of `lsm` agrees with `oracle`: point gets, the full
-/// scan, prefix scans, and bounded range scans.
-fn check_lsm(lsm: &LsmTable, oracle: &Oracle, probes: &[Vec<u8>]) -> Result<(), TestCaseError> {
+/// Every read path of `lsm` agrees with `oracle`: the full scan, and for
+/// every key in `keys` a point get, prefix scans of its first 0, 7, 8 and
+/// all bytes, and range scans from it up to each of `bounds` and unbounded.
+fn check_lsm(
+    lsm: &LsmTable,
+    oracle: &Oracle,
+    keys: &BTreeSet<Vec<u8>>,
+    bounds: &[Vec<u8>],
+) -> Result<(), TestCaseError> {
     let owned = |it: &mut dyn Iterator<Item = (&[u8], &[u8])>| {
         it.map(|(k, v)| (k.to_vec(), v.to_vec()))
             .collect::<Vec<_>>()
     };
-    let all: Vec<(Vec<u8>, Vec<u8>)> = oracle.clone().into_iter().collect();
-    prop_assert_eq!(owned(&mut lsm.scan()), all.clone());
+    let want = |lo: &[u8], keep: &dyn Fn(&[u8]) -> bool| {
+        oracle
+            .range::<[u8], _>((Bound::Included(lo), Bound::Unbounded))
+            .take_while(|(k, _)| keep(k))
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect::<Vec<_>>()
+    };
+    prop_assert_eq!(owned(&mut lsm.scan_range(&[], None)), want(&[], &|_| true));
     prop_assert_eq!(lsm.live_len(), oracle.len());
-    for probe in probes {
-        prop_assert_eq!(lsm.get(probe), oracle.get(probe).map(Vec::as_slice));
-        for len in [0, 7, 8, probe.len()] {
-            let prefix = &probe[..len.min(probe.len())];
-            let want: Vec<_> = all
-                .iter()
-                .filter(|(k, _)| k.starts_with(prefix))
-                .cloned()
-                .collect();
-            prop_assert_eq!(owned(&mut lsm.scan_prefix(prefix)), want);
-        }
+    let prefixes: BTreeSet<&[u8]> = keys
+        .iter()
+        .flat_map(|k| [0, 7, 8, k.len()].map(|len| &k[..len.min(k.len())]))
+        .collect();
+    for prefix in prefixes {
+        prop_assert_eq!(
+            owned(&mut lsm.scan_prefix(prefix)),
+            want(prefix, &|k| k.starts_with(prefix))
+        );
     }
-    for lo in probes {
-        for hi in probes {
-            let want: Vec<_> = all
-                .iter()
-                .filter(|(k, _)| k >= lo && k < hi)
-                .cloned()
-                .collect();
-            prop_assert_eq!(owned(&mut lsm.scan_range(lo, Some(hi))), want);
+    for lo in keys {
+        prop_assert_eq!(lsm.get(lo), oracle.get(lo).map(Vec::as_slice));
+        for hi in bounds {
+            prop_assert_eq!(
+                owned(&mut lsm.scan_range(lo, Some(hi))),
+                want(lo, &|k| k < hi.as_slice())
+            );
         }
-        let want: Vec<_> = all.iter().filter(|(k, _)| k >= lo).cloned().collect();
-        prop_assert_eq!(owned(&mut lsm.scan_range(lo, None)), want);
+        prop_assert_eq!(owned(&mut lsm.scan_range(lo, None)), want(lo, &|_| true));
     }
     Ok(())
 }
@@ -193,13 +202,20 @@ proptest! {
     #[test]
     fn lsm_matches_btreemap(
         ops in arb_lsm_ops(),
-        probes in prop::collection::vec(arb_lsm_key(), 1..12),
+        bounds in prop::collection::vec(arb_lsm_key(), 1..12),
         memtable_limit in 1usize..48,
         max_runs in 1usize..6,
     ) {
         let mut lsm = LsmTable::new(LsmConfig { memtable_limit, max_runs });
         let mut oracle = Oracle::new();
         let mut frozen: Vec<(LsmTable, Oracle)> = Vec::new();
+        // Every key the ops write or delete, plus the random bounds.
+        let mut keys: BTreeSet<Vec<u8>> = bounds.iter().cloned().collect();
+        for op in &ops {
+            if let LsmOp::Put(key, _) | LsmOp::Delete(key) = op {
+                keys.insert(key.clone());
+            }
+        }
         for op in ops {
             match op {
                 LsmOp::Put(key, val) => {
@@ -217,14 +233,14 @@ proptest! {
                 LsmOp::Freeze => {}
             }
         }
-        check_lsm(&lsm, &oracle, &probes)?;
+        check_lsm(&lsm, &oracle, &keys, &bounds)?;
         for (clone, contents) in &frozen {
-            check_lsm(clone, contents, &probes)?;
+            check_lsm(clone, contents, &keys, &bounds)?;
         }
         lsm.flush();
         lsm.compact();
         prop_assert!(lsm.run_count() <= 1);
-        check_lsm(&lsm, &oracle, &probes)?;
+        check_lsm(&lsm, &oracle, &keys, &bounds)?;
     }
 
     /// Varint and delta codecs round-trip arbitrary input.
