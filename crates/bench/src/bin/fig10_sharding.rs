@@ -16,8 +16,8 @@
 //!   epochs), writers on different shards share no mutex at all.
 //!
 //! Every row carries the **lock-wait** column (nanoseconds ops spent
-//! queueing on engine locks, measured through `gm_model::lockwait` at every
-//! acquisition site): the single-lock vs per-partition-lock comparison is a
+//! queueing on engine locks, measured as a `gm_obs` `lock_wait` phase span
+//! at every acquisition site): the single-lock vs per-partition-lock comparison is a
 //! measured number, not a claim. Rendered through the same
 //! `ScalingRow`/`render_scaling`/CSV machinery as fig8/fig9.
 //!

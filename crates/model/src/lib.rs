@@ -32,7 +32,6 @@ pub mod ids;
 pub mod interner;
 pub mod json;
 pub mod lockorder;
-pub mod lockwait;
 pub mod testkit;
 pub mod value;
 

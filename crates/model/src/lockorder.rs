@@ -15,8 +15,8 @@
 //!
 //! In release builds [`acquire`] compiles to nothing: [`LockToken`] is a
 //! zero-sized type and the thread-local stack does not exist, so the
-//! instrumented hot paths (this piggybacks on the same sites the
-//! [`lockwait`](crate::lockwait) span shim times) pay zero cost.
+//! instrumented hot paths (the same sites that time their waits as
+//! `gm_obs` `lock_wait` phase spans) pay zero cost.
 //!
 //! ## The hierarchy
 //!

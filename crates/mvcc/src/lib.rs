@@ -40,7 +40,7 @@ use gm_model::api::{
     Direction, EdgeData, EdgeRef, EngineFeatures, GraphDb, GraphSnapshot, SpaceReport, VertexData,
 };
 use gm_model::lockorder::{self, LockRank};
-use gm_model::{lockwait, Eid, GdbError, GdbResult, QueryCtx, Value, Vid};
+use gm_model::{Eid, GdbError, GdbResult, QueryCtx, Value, Vid};
 use gm_obs::{phase, Counter, Gauge, Histo, Phase};
 
 mod txn;
@@ -626,13 +626,13 @@ impl<E: GraphDb + Clone + 'static> CowCell<E> {
         let _span = phase::span(Phase::ClonePublish);
         // gm-lock: cell-writer
         let _tw = lockorder::acquire(LockRank::CellWriter, "gm-mvcc/lib.rs cow publish");
-        let mut working =
-            lockwait::timed(|| self.working.lock()).map_err(|_| poisoned("cow writer"))?;
+        let mut working = phase::timed(Phase::LockWait, || self.working.lock())
+            .map_err(|_| poisoned("cow writer"))?;
         if let Some(pending) = working.take() {
             // gm-lock: cell-published
             let _tp =
                 lockorder::acquire(LockRank::CellPublished, "gm-mvcc/lib.rs cow publish swap");
-            let mut published = lockwait::timed(|| self.published.write())
+            let mut published = phase::timed(Phase::LockWait, || self.published.write())
                 .map_err(|_| poisoned("cow published"))?;
             published.epoch += 1;
             published.graph = Arc::new(pending);
@@ -648,7 +648,7 @@ impl<E: GraphDb + Clone + 'static> CowCell<E> {
         let mut view = {
             // gm-lock: cell-published
             let _t = lockorder::acquire(LockRank::CellPublished, "gm-mvcc/lib.rs cow pin");
-            lockwait::timed(|| self.published.read())
+            phase::timed(Phase::LockWait, || self.published.read())
                 .map_err(|_| poisoned("cow published"))?
                 .clone()
         };
@@ -699,8 +699,8 @@ impl<E: GraphDb + Clone + 'static> SnapshotSource for CowCell<E> {
     fn with_write(&self, f: &mut WriteFn<'_>) -> GdbResult<u64> {
         // gm-lock: cell-writer
         let _tw = lockorder::acquire(LockRank::CellWriter, "gm-mvcc/lib.rs cow write");
-        let mut working =
-            lockwait::timed(|| self.working.lock()).map_err(|_| poisoned("cow writer"))?;
+        let mut working = phase::timed(Phase::LockWait, || self.working.lock())
+            .map_err(|_| poisoned("cow writer"))?;
         // Clone-on-first-write per epoch: later writes of the same epoch
         // reuse the private copy. The dirty mark lands before the mutation
         // so a strict pin racing this write either misses it entirely (the
@@ -711,7 +711,7 @@ impl<E: GraphDb + Clone + 'static> SnapshotSource for CowCell<E> {
                 let _tp =
                     lockorder::acquire(LockRank::CellPublished, "gm-mvcc/lib.rs cow write base");
                 Arc::clone(
-                    &lockwait::timed(|| self.published.read())
+                    &phase::timed(Phase::LockWait, || self.published.read())
                         .map_err(|_| poisoned("cow published"))?
                         .graph,
                 )
@@ -791,7 +791,8 @@ impl<E: GraphDb + Clone + 'static> FreezeCell<E> {
         let _span = phase::span(Phase::ClonePublish);
         // gm-lock: cell-writer
         let _tw = lockorder::acquire(LockRank::CellWriter, "gm-mvcc/lib.rs freeze refreeze");
-        let live = lockwait::timed(|| self.live.lock()).map_err(|_| poisoned("freeze writer"))?;
+        let live = phase::timed(Phase::LockWait, || self.live.lock())
+            .map_err(|_| poisoned("freeze writer"))?;
         if !self.dirty.is_dirty() {
             return Ok(()); // another pin refroze while we waited
         }
@@ -805,8 +806,8 @@ impl<E: GraphDb + Clone + 'static> FreezeCell<E> {
             LockRank::CellPublished,
             "gm-mvcc/lib.rs freeze publish swap",
         );
-        let mut published =
-            lockwait::timed(|| self.published.write()).map_err(|_| poisoned("freeze published"))?;
+        let mut published = phase::timed(Phase::LockWait, || self.published.write())
+            .map_err(|_| poisoned("freeze published"))?;
         published.epoch += 1;
         published.graph = frozen;
         self.dirty.clear();
@@ -820,7 +821,7 @@ impl<E: GraphDb + Clone + 'static> FreezeCell<E> {
         let mut view = {
             // gm-lock: cell-published
             let _t = lockorder::acquire(LockRank::CellPublished, "gm-mvcc/lib.rs freeze pin");
-            lockwait::timed(|| self.published.read())
+            phase::timed(Phase::LockWait, || self.published.read())
                 .map_err(|_| poisoned("freeze published"))?
                 .clone()
         };
@@ -870,8 +871,8 @@ impl<E: GraphDb + Clone + 'static> SnapshotSource for FreezeCell<E> {
     fn with_write(&self, f: &mut WriteFn<'_>) -> GdbResult<u64> {
         // gm-lock: cell-writer
         let _tw = lockorder::acquire(LockRank::CellWriter, "gm-mvcc/lib.rs freeze write");
-        let mut live =
-            lockwait::timed(|| self.live.lock()).map_err(|_| poisoned("freeze writer"))?;
+        let mut live = phase::timed(Phase::LockWait, || self.live.lock())
+            .map_err(|_| poisoned("freeze writer"))?;
         // Stamp only the *first* write after a freeze: the staleness bound
         // measures the oldest unpublished write, so a continuous write
         // stream cannot starve publishes by forever refreshing the stamp.

@@ -53,8 +53,8 @@ use gm_model::api::{
 };
 use gm_model::fxmap::FxHashMap;
 use gm_model::lockorder::{self, LockRank, Ranked};
-use gm_model::{lockwait, Dataset, Eid, GdbError, GdbResult, Props, QueryCtx, Value, Vid};
-use gm_obs::{Counter, Phase};
+use gm_model::{Dataset, Eid, GdbError, GdbResult, Props, QueryCtx, Value, Vid};
+use gm_obs::{phase, Counter, Phase};
 use gm_shard::route::{
     decode_eid, decode_vid, encode_eid, encode_vid, partition, Meta, Partitioned, GHOST_LABEL,
 };
@@ -515,7 +515,7 @@ impl Fleet {
     fn meta_read(&self) -> GdbResult<Ranked<RwLockReadGuard<'_, Meta>>> {
         // gm-lock: meta
         let t = lockorder::acquire(LockRank::Meta, "gm-net/fleet.rs meta read");
-        lockwait::timed(|| self.meta.read())
+        phase::timed(Phase::LockWait, || self.meta.read())
             .map(|g| Ranked::new(g, t))
             .map_err(|_| poisoned("meta read lock"))
     }
@@ -523,7 +523,7 @@ impl Fleet {
     fn meta_write(&self) -> GdbResult<Ranked<RwLockWriteGuard<'_, Meta>>> {
         // gm-lock: meta
         let t = lockorder::acquire(LockRank::Meta, "gm-net/fleet.rs meta write");
-        lockwait::timed(|| self.meta.write())
+        phase::timed(Phase::LockWait, || self.meta.write())
             .map(|g| Ranked::new(g, t))
             .map_err(|_| poisoned("meta write lock"))
     }
@@ -1382,7 +1382,7 @@ impl Session for FleetSession<'_> {
     fn execute(&mut self, op: Op, worker: usize, op_index: u64) -> GdbResult<OpResult> {
         // Meta-lock acquisitions on this path report through the
         // thread-local accumulator; this worker owns its thread.
-        lockwait::reset();
+        phase::reset(Phase::LockWait);
         let timing = gm_obs::phases_on();
         let t0 = timing.then(Instant::now);
         let card = match op {
@@ -1407,7 +1407,7 @@ impl Session for FleetSession<'_> {
                 )?
             }
         };
-        let mut out = OpResult::plain(card).with_lock_wait(lockwait::take());
+        let mut out = OpResult::plain(card).with_lock_wait(phase::take(Phase::LockWait));
         if let Some(t) = t0 {
             // Everything outside client-side lock waiting is wire work
             // (socket round trips plus frame codec) — the number the

@@ -402,8 +402,8 @@ pub enum Response {
         /// Serving epoch for snapshot-backed reads.
         epoch: Option<u64>,
         /// Nanoseconds the op spent waiting on engine locks server-side
-        /// (v3; the server's whole execution path reports through
-        /// `gm_model::lockwait`).
+        /// (v3; the server's whole execution path times its lock
+        /// acquisitions as `gm_obs` `LockWait` phase spans).
         lock_wait: u64,
         /// Server-side engine execution nanoseconds (v4).
         exec_nanos: u64,

@@ -28,7 +28,7 @@ use gm_core::catalog;
 use gm_core::params::{ResolvedParams, Workload};
 use gm_model::lockorder::{self, LockRank, Ranked};
 use gm_model::{
-    lockwait, Dataset, Eid, GdbError, GdbResult, GraphDb, GraphSnapshot, QueryCtx, SharedGraph, Vid,
+    Dataset, Eid, GdbError, GdbResult, GraphDb, GraphSnapshot, QueryCtx, SharedGraph, Vid,
 };
 use gm_mvcc::{SnapshotSource, SourceFactory, WriteTxn};
 use gm_obs::{phase, trace, Counter, Histo, Phase};
@@ -144,7 +144,8 @@ impl Hosted {
                 // gm-lock: driver
                 let t = lockorder::acquire(LockRank::Driver, "gm-net/server.rs engine read");
                 Ok(ReadView::Guard(Ranked::new(
-                    lockwait::timed(|| engine.read()).map_err(|_| Self::poisoned("read"))?,
+                    phase::timed(Phase::LockWait, || engine.read())
+                        .map_err(|_| Self::poisoned("read"))?,
                     t,
                 )))
             }
@@ -152,7 +153,7 @@ impl Hosted {
                 // gm-lock: driver transient
                 let _t = lockorder::acquire(LockRank::Driver, "gm-net/server.rs source read pin");
                 Ok(ReadView::Snap(
-                    lockwait::timed(|| source.read())
+                    phase::timed(Phase::LockWait, || source.read())
                         .map_err(|_| Self::poisoned("source read"))?
                         .snapshot()?,
                 ))
@@ -161,7 +162,8 @@ impl Hosted {
                 // gm-lock: driver
                 let t = lockorder::acquire(LockRank::Driver, "gm-net/server.rs shared read");
                 Ok(ReadView::Shared(Ranked::new(
-                    lockwait::timed(|| graph.read()).map_err(|_| Self::poisoned("shared read"))?,
+                    phase::timed(Phase::LockWait, || graph.read())
+                        .map_err(|_| Self::poisoned("shared read"))?,
                     t,
                 )))
             }
@@ -178,7 +180,7 @@ impl Hosted {
                 // gm-lock: driver transient
                 let _t = lockorder::acquire(LockRank::Driver, "gm-net/server.rs source recent pin");
                 Ok(ReadView::Snap(
-                    lockwait::timed(|| source.read())
+                    phase::timed(Phase::LockWait, || source.read())
                         .map_err(|_| Self::poisoned("source read"))?
                         .snapshot_recent(gm_workload::SNAPSHOT_PIN_STALENESS)?,
                 ))
@@ -196,15 +198,15 @@ impl Hosted {
             HostedEngine::Locked { engine, .. } => {
                 // gm-lock: driver
                 let _t = lockorder::acquire(LockRank::Driver, "gm-net/server.rs engine write");
-                let mut db =
-                    lockwait::timed(|| engine.write()).map_err(|_| Self::poisoned("write"))?;
+                let mut db = phase::timed(Phase::LockWait, || engine.write())
+                    .map_err(|_| Self::poisoned("write"))?;
                 f(db.as_mut())
             }
             HostedEngine::Snapshot { source, .. } => {
                 // gm-lock: driver
                 let _t = lockorder::acquire(LockRank::Driver, "gm-net/server.rs source write");
-                let source =
-                    lockwait::timed(|| source.read()).map_err(|_| Self::poisoned("source read"))?;
+                let source = phase::timed(Phase::LockWait, || source.read())
+                    .map_err(|_| Self::poisoned("source read"))?;
                 let mut once = Some(f);
                 let mut out: Option<R> = None;
                 source.with_write(&mut |db| {
@@ -220,8 +222,8 @@ impl Hosted {
             HostedEngine::Shared { graph, .. } => {
                 // gm-lock: driver
                 let _t = lockorder::acquire(LockRank::Driver, "gm-net/server.rs shared write");
-                let graph =
-                    lockwait::timed(|| graph.read()).map_err(|_| Self::poisoned("shared read"))?;
+                let graph = phase::timed(Phase::LockWait, || graph.read())
+                    .map_err(|_| Self::poisoned("shared read"))?;
                 let mut once = Some(f);
                 let mut out: Option<R> = None;
                 graph.with_write(&mut |db| {
@@ -584,8 +586,8 @@ fn txn_begin(hosted: &Hosted, txn: &mut Option<ConnTxn>) -> GdbResult<Response> 
         HostedEngine::Snapshot { source, .. } => {
             // gm-lock: driver transient
             let _t = lockorder::acquire(LockRank::Driver, "gm-net/server.rs txn begin");
-            let source =
-                lockwait::timed(|| source.read()).map_err(|_| Hosted::poisoned("source read"))?;
+            let source = phase::timed(Phase::LockWait, || source.read())
+                .map_err(|_| Hosted::poisoned("source read"))?;
             let opened = WriteTxn::begin(&**source)?;
             let epoch = opened.base_epoch();
             *txn = Some(ConnTxn {
@@ -616,8 +618,8 @@ fn txn_commit(hosted: &Hosted, txn: &mut Option<ConnTxn>) -> GdbResult<Response>
         HostedEngine::Snapshot { source, .. } => {
             // gm-lock: driver transient
             let _t = lockorder::acquire(LockRank::Driver, "gm-net/server.rs txn commit");
-            let source =
-                lockwait::timed(|| source.read()).map_err(|_| Hosted::poisoned("source read"))?;
+            let source = phase::timed(Phase::LockWait, || source.read())
+                .map_err(|_| Hosted::poisoned("source read"))?;
             let ops = state.txn.commit(&**source)?;
             Ok(Response::TxnCommitted {
                 ops,

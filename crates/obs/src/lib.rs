@@ -12,8 +12,8 @@
 //!   [`RegistrySnapshot`]s are plain data: mergeable (pure addition, so
 //!   merging is associative and commutative) and renderable as
 //!   Prometheus-style text.
-//! * [`phase`] — a thread-local **span stack** generalizing the old
-//!   `gm_model::lockwait` cell: code brackets a region with
+//! * [`phase`] — a thread-local **span stack** generalizing a single
+//!   lock-wait accumulator: code brackets a region with
 //!   [`phase::span`] and the elapsed time lands in that phase's per-op
 //!   accumulator as *self time* (nested spans subtract from their parent),
 //!   so the per-op phase vector sums to at most the end-to-end latency.
@@ -40,9 +40,10 @@
 //! | `counters` | no | yes | + one atomic RMW per counter site |
 //! | `phases` (default) | yes | yes | + two `Instant::now` per span |
 //!
-//! The legacy lock-wait accounting (`gm_model::lockwait`, now a shim over
-//! [`phase`]) stays on in every mode — it predates this crate and the
-//! fig8/fig10 lock-wait columns must not change meaning under `GM_OBS=off`.
+//! Lock-wait accounting (`phase::timed(Phase::LockWait, …)` at every lock
+//! acquisition site) stays on in every mode — it predates this crate and
+//! the fig8/fig10 lock-wait columns must not change meaning under
+//! `GM_OBS=off`.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 

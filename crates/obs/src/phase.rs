@@ -1,6 +1,6 @@
 //! Per-op phase spans: a thread-local span stack with self-time attribution.
 //!
-//! This generalizes the old `gm_model::lockwait` single-cell pattern: each
+//! This generalizes a single lock-wait accumulator cell: each
 //! worker thread carries one accumulator per named [`Phase`], reset at op
 //! entry ([`reset_op`]) and collected at op exit ([`take_all`]). Code
 //! brackets a region with [`span`] (RAII) or [`timed`] (closure); nested
@@ -28,7 +28,7 @@ pub const PHASES: usize = 6;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Phase {
-    /// Queueing on an engine/shard lock (the legacy `lockwait` signal).
+    /// Queueing on an engine/shard lock (the fig8/fig10 lock-wait column).
     LockWait = 0,
     /// Executing the query against the engine.
     EngineExec = 1,
@@ -150,7 +150,7 @@ pub fn add(p: Phase, nanos: u64) {
     });
 }
 
-/// Reset one phase's accumulator (legacy `lockwait::reset`).
+/// Reset one phase's accumulator.
 pub fn reset(p: Phase) {
     ACC.with(|acc| acc[p as usize].set(0));
 }
@@ -181,8 +181,8 @@ pub fn span(phase: Phase) -> SpanGuard {
     span_always(phase)
 }
 
-/// RAII span that is live in every mode (the lock-wait shim uses this so
-/// `GM_OBS=off` keeps the legacy column meaningful).
+/// RAII span that is live in every mode, unlike [`span`]; [`timed`] uses
+/// it for self-time attribution under `phases`.
 pub fn span_always(phase: Phase) -> SpanGuard {
     let depth = STACK.with(|s| {
         let mut s = s.borrow_mut();
@@ -347,5 +347,19 @@ mod tests {
         .join()
         .unwrap();
         assert_eq!(take(Phase::LockWait), 100);
+    }
+
+    #[test]
+    fn reset_op_clears_residue_from_an_aborted_op() {
+        // Regression for the staleness bug: an op that accumulates wait and
+        // then unwinds (panic / poisoned-lock abort) without `take`-ing
+        // leaves residue behind. The next op's entry reset must discard it.
+        add(Phase::LockWait, 1_000_000);
+        reset_op();
+        assert_eq!(
+            take(Phase::LockWait),
+            0,
+            "stale wait must not leak into the next op"
+        );
     }
 }

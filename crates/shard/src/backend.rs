@@ -24,7 +24,8 @@ use std::time::Duration;
 use gm_core::catalog;
 use gm_core::params::{ResolvedParams, Workload};
 use gm_model::api::{GraphDb, GraphSnapshot, LoadOptions};
-use gm_model::{lockwait, Dataset, Eid, GdbResult, QueryCtx};
+use gm_model::{Dataset, Eid, GdbResult, QueryCtx};
+use gm_obs::phase::{self, Phase};
 use gm_workload::{
     apply_write, run_backend, run_backend_sequential, Backend, Op, OpResult, RunReport, Session,
     WorkloadConfig, WORKLOAD_SLOTS,
@@ -87,12 +88,12 @@ impl<E: GraphDb + 'static> Session for ShardedSession<'_, E> {
     fn execute(&mut self, op: Op, worker: usize, op_index: u64) -> GdbResult<OpResult> {
         // Every shard/meta lock acquisition on this path reports through
         // the thread-local accumulator; this worker owns its thread.
-        lockwait::reset();
+        phase::reset(Phase::LockWait);
         match op {
             Op::Read(inst) => {
                 let ctx = QueryCtx::with_timeout(self.op_timeout);
                 catalog::execute_read(&inst, self.graph, self.params, &ctx)
-                    .map(|card| OpResult::plain(card).with_lock_wait(lockwait::take()))
+                    .map(|card| OpResult::plain(card).with_lock_wait(phase::take(Phase::LockWait)))
             }
             Op::Write(wop) => {
                 let mut writer = SharedWriter::new(self.graph);
@@ -104,7 +105,7 @@ impl<E: GraphDb + 'static> Session for ShardedSession<'_, E> {
                     op_index,
                     &mut self.owned_edges,
                 )
-                .map(|card| OpResult::plain(card).with_lock_wait(lockwait::take()))
+                .map(|card| OpResult::plain(card).with_lock_wait(phase::take(Phase::LockWait)))
             }
         }
     }

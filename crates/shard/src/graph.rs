@@ -30,9 +30,10 @@
 //!
 //! Deadlock freedom: the global acquisition order is **meta, then shard
 //! guards in ascending index order**; no path acquires the meta lock while
-//! holding a shard guard. Every acquisition runs through
-//! [`gm_model::lockwait`], so the workload driver's lock-wait column
-//! decomposes per-partition waiting against the single-lock baseline.
+//! holding a shard guard. Every acquisition is timed as a
+//! [`gm_obs::Phase::LockWait`] span, so the workload driver's lock-wait
+//! column decomposes per-partition waiting against the single-lock
+//! baseline.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -42,7 +43,8 @@ use gm_model::api::{
     SharedGraph, SpaceReport, VertexData,
 };
 use gm_model::lockorder::{self, LockRank, Ranked};
-use gm_model::{lockwait, Dataset, Eid, GdbError, GdbResult, Props, QueryCtx, Value, Vid};
+use gm_model::{Dataset, Eid, GdbError, GdbResult, Props, QueryCtx, Value, Vid};
+use gm_obs::phase::{self, Phase};
 
 use crate::route::{
     build_meta, decode_eid, decode_vid, encode_eid, encode_vid, partition, Meta, GHOST_LABEL,
@@ -120,7 +122,7 @@ impl<E: GraphDb + 'static> ShardedGraph<E> {
         }
         // gm-lock: shard
         let t = lockorder::acquire(LockRank::Shard(s as u32), "gm-shard/graph.rs shard read");
-        lockwait::timed(|| self.shards[s].read())
+        phase::timed(Phase::LockWait, || self.shards[s].read())
             .map(|g| Ranked::new(g, t))
             .map_err(|_| poisoned("shard read"))
     }
@@ -131,7 +133,7 @@ impl<E: GraphDb + 'static> ShardedGraph<E> {
         }
         // gm-lock: shard
         let t = lockorder::acquire(LockRank::Shard(s as u32), "gm-shard/graph.rs shard write");
-        lockwait::timed(|| self.shards[s].write())
+        phase::timed(Phase::LockWait, || self.shards[s].write())
             .map(|g| Ranked::new(g, t))
             .map_err(|_| poisoned("shard write"))
     }
@@ -146,7 +148,7 @@ impl<E: GraphDb + 'static> ShardedGraph<E> {
                     LockRank::Shard(s as u32),
                     "gm-shard/graph.rs all-shards write",
                 );
-                lockwait::timed(|| l.write())
+                phase::timed(Phase::LockWait, || l.write())
                     .map(|g| Ranked::new(g, t))
                     .map_err(|_| poisoned("shard write"))
             })
@@ -156,7 +158,7 @@ impl<E: GraphDb + 'static> ShardedGraph<E> {
     fn meta_read(&self) -> GdbResult<Ranked<RwLockReadGuard<'_, Meta>>> {
         // gm-lock: meta
         let t = lockorder::acquire(LockRank::Meta, "gm-shard/graph.rs meta read");
-        lockwait::timed(|| self.meta.read())
+        phase::timed(Phase::LockWait, || self.meta.read())
             .map(|g| Ranked::new(g, t))
             .map_err(|_| poisoned("meta read"))
     }
@@ -164,7 +166,7 @@ impl<E: GraphDb + 'static> ShardedGraph<E> {
     fn meta_write(&self) -> GdbResult<Ranked<RwLockWriteGuard<'_, Meta>>> {
         // gm-lock: meta
         let t = lockorder::acquire(LockRank::Meta, "gm-shard/graph.rs meta write");
-        lockwait::timed(|| self.meta.write())
+        phase::timed(Phase::LockWait, || self.meta.write())
             .map(|g| Ranked::new(g, t))
             .map_err(|_| poisoned("meta write"))
     }

@@ -30,8 +30,8 @@
 //! parallel); snapshot mode pins one epoch per shard under a seqlock that
 //! makes multi-shard topology changes atomic with respect to pins, with
 //! the composite epoch defined as the minimum over shard epochs (monotone
-//! because each shard's epochs are). Every lock acquisition reports
-//! through [`gm_model::lockwait`], so the driver's lock-wait column turns
+//! because each shard's epochs are). Every lock acquisition is timed as a
+//! [`gm_obs::Phase::LockWait`] span, so the driver's lock-wait column turns
 //! "per-partition locks beat one big lock" into a measured number
 //! (`fig10_sharding`).
 //!
@@ -473,6 +473,38 @@ mod tests {
             .txn_commit(seq, &[], &mut |db| db.create_vertex_index("x").map(|_| 0))
             .unwrap_err();
         assert!(matches!(err, GdbError::Unsupported(_)), "{err:?}");
+    }
+
+    /// Ghost first, validate only on creation: a cut edge to a removed
+    /// vertex fails through either entry point of the routing writer,
+    /// because the removal deleted the ghost that would have vouched for it.
+    #[test]
+    fn cut_edges_to_removed_vertices_fail_on_both_entry_points() {
+        use gm_model::GdbError;
+        let src = txn_source(2, 10);
+        let mut ends = Vec::new();
+        src.with_write(&mut |db| {
+            ends.push(db.add_vertex("a", &vec![])?);
+            ends.push(db.add_vertex("b", &vec![])?);
+            Ok(2)
+        })
+        .unwrap();
+        let (a, b) = (ends[0], ends[1]);
+        assert_ne!(a.0 % 2, b.0 % 2, "round-robin spread separates them");
+        let mut cut = |db: &mut dyn GraphDb| db.add_edge(a, b, "cut", &vec![]).map(|_| 1);
+        src.with_write(&mut cut).unwrap();
+        src.with_write(&mut |db| db.remove_vertex(b).map(|_| 1))
+            .unwrap();
+        let auto = src.with_write(&mut cut);
+        assert!(matches!(auto, Err(GdbError::VertexNotFound(_))), "{auto:?}");
+        let seq = src.txn_log().expect("composite log").seq();
+        let staged = src.txn_commit(seq, &[], &mut cut);
+        assert!(
+            matches!(staged, Err(GdbError::VertexNotFound(_))),
+            "{staged:?}"
+        );
+        let ctx = QueryCtx::unbounded();
+        assert_eq!(src.snapshot().unwrap().edge_count(&ctx).unwrap(), 9);
     }
 
     #[test]

@@ -8,10 +8,17 @@
 //!   can never observe a vertex gone from its owner shard while its ghost
 //!   edges survive elsewhere;
 //! * composite epochs (min over shard epochs) are monotone.
+//!
+//! Each mutation step draws which entry point of the source's one routing
+//! writer it runs through: autocommit `with_write`, or a one-op staged
+//! commit through `txn_commit` (the call `WriteTxn::commit` makes, invoked
+//! directly so the step's real composite ids come back). Vertex removals,
+//! edge removals and ghost-creating cut edges are thereby checked against
+//! the same oracle from both sides.
 
 use engine_linked::LinkedGraph;
 use gm_model::api::{Direction, GraphDb, GraphSnapshot, LoadOptions};
-use gm_model::{testkit, Eid, QueryCtx, Value, Vid};
+use gm_model::{testkit, Eid, GdbResult, QueryCtx, Value, Vid};
 use gm_mvcc::{CowCell, SnapshotSource};
 use gm_shard::ShardedSource;
 use proptest::prelude::*;
@@ -46,6 +53,27 @@ struct Pinned {
     edges: u64,
 }
 
+/// Run one mutation through autocommit `with_write` or, with `via_commit`,
+/// through a one-op `txn_commit`, returning the mutation's own result.
+fn mutate<T>(
+    src: &ShardedSource,
+    via_commit: bool,
+    op: impl Fn(&mut dyn GraphDb) -> GdbResult<T>,
+) -> GdbResult<T> {
+    let mut out = None;
+    let mut f = |db: &mut dyn GraphDb| {
+        out = Some(op(db)?);
+        Ok(1)
+    };
+    if via_commit {
+        let seq = src.txn_log().expect("composite log").seq();
+        src.txn_commit(seq, &[], &mut f)?;
+    } else {
+        src.with_write(&mut f)?;
+    }
+    Ok(out.expect("mutation ran"))
+}
+
 fn counts(db: &dyn GraphSnapshot) -> (u64, u64) {
     let ctx = QueryCtx::unbounded();
     (
@@ -59,7 +87,7 @@ proptest! {
 
     #[test]
     fn sharded_source_matches_single_shard_oracle(
-        steps in prop::collection::vec(arb_step(), 0..70)
+        steps in prop::collection::vec((arb_step(), any::<bool>()), 0..70)
     ) {
         let data = testkit::chain_dataset(12);
         let src = ShardedSource::from_factory(3, || {
@@ -84,31 +112,24 @@ proptest! {
         let mut last_epoch = 0u64;
         let ctx = QueryCtx::unbounded();
 
-        for step in steps {
+        for (step, via_commit) in steps {
             match step {
                 Step::AddVertex => {
-                    let mut sv = None;
-                    src.with_write(&mut |db| {
-                        sv = Some(db.add_vertex("p_node", &vec![])?);
-                        Ok(1)
-                    }).expect("sharded add vertex");
+                    let sv = mutate(&src, via_commit, |db| db.add_vertex("p_node", &vec![]))
+                        .expect("sharded add vertex");
                     let ov = oracle.add_vertex("p_node", &vec![]).expect("oracle add vertex");
-                    sh_vs.push(sv.unwrap());
+                    sh_vs.push(sv);
                     orc_vs.push(ov);
                 }
                 Step::AddEdge(a, b) => {
                     let (i, j) = (a % sh_vs.len(), b % sh_vs.len());
                     let (ssrc, sdst) = (sh_vs[i], sh_vs[j]);
                     let (osrc, odst) = (orc_vs[i], orc_vs[j]);
-                    let mut se = None;
-                    let sr = src.with_write(&mut |db| {
-                        se = Some(db.add_edge(ssrc, sdst, "p_edge", &vec![])?);
-                        Ok(1)
-                    });
+                    let sr = mutate(&src, via_commit, |db| db.add_edge(ssrc, sdst, "p_edge", &vec![]));
                     let or = oracle.add_edge(osrc, odst, "p_edge", &vec![]);
                     prop_assert_eq!(sr.is_ok(), or.is_ok(), "add_edge outcome diverged");
-                    if let (Ok(_), Ok(oe)) = (sr, or) {
-                        sh_es.push(se.unwrap());
+                    if let (Ok(se), Ok(oe)) = (sr, or) {
+                        sh_es.push(se);
                         orc_es.push(oe);
                     }
                 }
@@ -116,7 +137,7 @@ proptest! {
                     if sh_vs.is_empty() { continue; }
                     let i = i % sh_vs.len();
                     let (sv, ov) = (sh_vs[i], orc_vs[i]);
-                    let sr = src.with_write(&mut |db| db.remove_vertex(sv).map(|_| 1));
+                    let sr = mutate(&src, via_commit, |db| db.remove_vertex(sv));
                     let or = oracle.remove_vertex(ov);
                     prop_assert_eq!(sr.is_ok(), or.is_ok(), "remove_vertex outcome diverged");
                     if or.is_ok() {
@@ -140,7 +161,7 @@ proptest! {
                     if sh_es.is_empty() { continue; }
                     let i = i % sh_es.len();
                     let (se, oe) = (sh_es[i], orc_es[i]);
-                    let sr = src.with_write(&mut |db| db.remove_edge(se).map(|_| 1));
+                    let sr = mutate(&src, via_commit, |db| db.remove_edge(se));
                     let or = oracle.remove_edge(oe);
                     prop_assert_eq!(sr.is_ok(), or.is_ok(), "remove_edge outcome diverged");
                     sh_es.remove(i);
@@ -150,8 +171,8 @@ proptest! {
                     if sh_vs.is_empty() { continue; }
                     let i = i % sh_vs.len();
                     let (sv, ov) = (sh_vs[i], orc_vs[i]);
-                    let sr = src.with_write(&mut |db| {
-                        db.set_vertex_property(sv, "p_prop", Value::Int(x)).map(|_| 1)
+                    let sr = mutate(&src, via_commit, |db| {
+                        db.set_vertex_property(sv, "p_prop", Value::Int(x))
                     });
                     let or = oracle.set_vertex_property(ov, "p_prop", Value::Int(x));
                     prop_assert_eq!(sr.is_ok(), or.is_ok(), "set_vertex_property diverged");

@@ -127,7 +127,7 @@ impl OpResult {
     /// Nanoseconds this op spent **waiting to acquire engine locks** (the
     /// shared `RwLock`, an MVCC cell's writer mutex or publish lock, or
     /// `gm-shard`'s per-partition locks — whatever the backend's path runs
-    /// through `gm_model::lockwait`). Queueing, not hold time: the single
+    /// through `gm_obs::phase::timed(Phase::LockWait, …)`). Queueing, not hold time: the single
     /// number that separates "the engine is slow" from "the op serialized
     /// behind other clients", which is exactly what the sharded-vs-single
     /// lock comparison measures.
@@ -812,8 +812,8 @@ impl Session for LocalSession<'_> {
                     gm_model::lockorder::LockRank::Driver,
                     "gm-workload/driver.rs engine read",
                 );
-                let db =
-                    gm_model::lockwait::timed(|| self.lock.read()).map_err(|_| poisoned("read"))?;
+                let db = phase::timed(Phase::LockWait, || self.lock.read())
+                    .map_err(|_| poisoned("read"))?;
                 let card = {
                     let _exec = phase::span(Phase::EngineExec);
                     catalog::execute_read(&inst, db.as_ref(), self.params, &ctx)?
@@ -829,7 +829,7 @@ impl Session for LocalSession<'_> {
                     gm_model::lockorder::LockRank::Driver,
                     "gm-workload/driver.rs engine write",
                 );
-                let mut db = gm_model::lockwait::timed(|| self.lock.write())
+                let mut db = phase::timed(Phase::LockWait, || self.lock.write())
                     .map_err(|_| poisoned("write"))?;
                 let card = {
                     let _exec = phase::span(Phase::EngineExec);
@@ -981,7 +981,7 @@ impl Session for SnapshotSession<'_> {
     fn execute(&mut self, op: Op, worker: usize, op_index: u64) -> GdbResult<OpResult> {
         // The waits on this path happen inside the snapshot source (pin
         // locks, the writer mutex), which reports them through the
-        // thread-local `lockwait` accumulator; the source also opens
+        // thread-local `lock_wait` phase accumulator; the source also opens
         // `clone_publish` spans when it pays an epoch clone. Reset on entry
         // so nothing from an aborted predecessor leaks into this op.
         phase::reset_op();
